@@ -18,6 +18,7 @@ This module provides
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -108,6 +109,26 @@ def exact_two_bin_transition(n: int, minority: int) -> Tuple[float, float]:
     return (1.0 - x) ** 2, x * x
 
 
+def _binomial_pmf(trials: int, p: float) -> np.ndarray:
+    """``Binom(trials, p)`` probabilities over ``{0, ..., trials}``.
+
+    Evaluated in log space, ``log C(trials, k) + k·log p + (trials−k)·log(1−p)``;
+    the degenerate ``p ∈ {0, 1}`` cases are point masses.
+    """
+    out = np.zeros(trials + 1)
+    if p <= 0.0:
+        out[0] = 1.0
+        return out
+    if p >= 1.0:
+        out[trials] = 1.0
+        return out
+    k = np.arange(trials + 1)
+    log_factorials = np.array([math.lgamma(i + 1.0) for i in range(trials + 1)])
+    log_pmf = (log_factorials[-1] - log_factorials - log_factorials[::-1]
+               + k * math.log(p) + (trials - k) * math.log1p(-p))
+    return np.exp(log_pmf)
+
+
 def two_bin_step_distribution(n: int, minority: int) -> np.ndarray:
     """Exact distribution of the next minority load in the two-bin process.
 
@@ -120,11 +141,9 @@ def two_bin_step_distribution(n: int, minority: int) -> np.ndarray:
     full probability vector over ``{0, ..., n}``; used by
     :mod:`repro.analysis.markov` to build the exact Markov chain.
     """
-    from scipy.stats import binom
-
     p_leave, p_join = exact_two_bin_transition(n, minority)
-    stay = binom.pmf(np.arange(minority + 1), minority, 1.0 - p_leave)
-    join = binom.pmf(np.arange(n - minority + 1), n - minority, p_join)
+    stay = _binomial_pmf(minority, 1.0 - p_leave)
+    join = _binomial_pmf(n - minority, p_join)
     dist = np.convolve(stay, join)
     out = np.zeros(n + 1)
     out[: dist.shape[0]] = dist

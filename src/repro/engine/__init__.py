@@ -28,8 +28,11 @@ per round and therefore in where they are fast:
     Monte-Carlo over independent runs.  ``run_batch`` repeats any single-run
     engine (select with ``engine="vectorized" | "occupancy" |
     "occupancy-fused"``); ``run_batch_fused`` packs R median-rule runs into
-    one (R, n) array program and is the fastest way to get convergence-round
-    distributions at moderate n.  ``run_batch_fused_occupancy``
+    one (R, n) array program, but it is *slower* than looping the
+    vectorized engine through ``run_batch``: 0.72 s vs 0.40 s at
+    (n=10⁴, m=16, R=64) on a 2-core machine, and 36.5 s vs 5.0 s at
+    (n=10⁵, m=32, R=128) in ``BENCH_batch_fused.json`` — prefer
+    ``run_batch``.  ``run_batch_fused_occupancy``
     (``engine="occupancy-fused"``) is the count-space analogue: all R runs
     advance as one (R, m) count tensor, each round building a stacked
     (R, m, m) outcome tensor and drawing all R·m multinomials in a single

@@ -51,6 +51,14 @@ Rule catalog (ids are what ``# repro-lint: disable=<id>`` takes):
     Every literal seam name at a ``fault_point``/``maybe_torn`` call site
     (or a ``seam=`` keyword) exists in ``robustness/faults.py::SEAMS``,
     and every cataloged seam has at least one instrumented call site.
+
+``import-weight``
+    No module-level import of a heavy optional library (scipy, networkx,
+    matplotlib) anywhere in the package.  The runtime needs only NumPy;
+    a top-level import makes every importer of the module — ``repro``,
+    the CLI, every spawned worker — pay the library's load time and
+    depend on it.  Import inside the function that uses it, or under
+    ``if TYPE_CHECKING:`` for annotations.
 """
 
 from __future__ import annotations
@@ -571,6 +579,49 @@ class FaultSeamRule(Rule):
                     snippet=catalog_ctx.line_text(lineno))
 
 
+# --------------------------------------------------------------------- #
+# 8. import-weight
+# --------------------------------------------------------------------- #
+class ImportWeightRule(Rule):
+    id = "import-weight"
+    doc = ("no module-level import of scipy, networkx or matplotlib; "
+           "import them inside the function that uses them")
+
+    HEAVY_MODULES = frozenset({"scipy", "networkx", "matplotlib"})
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            heavy = sorted({name for name in names
+                            if name.split(".")[0] in self.HEAVY_MODULES})
+            if not heavy or self._deferred(ctx, node):
+                continue
+            yield ctx.finding(
+                node, self.id,
+                f"module-level import of {', '.join(heavy)}: every importer "
+                f"of this module pays its load time; import it inside the "
+                f"function that uses it (or under `if TYPE_CHECKING:`)")
+
+    @staticmethod
+    def _deferred(ctx: FileContext, node: ast.AST) -> bool:
+        """True iff ``node`` runs inside a function or a TYPE_CHECKING block."""
+        if ctx.enclosing_function(node) is not None:
+            return True
+        child, parent = node, ctx.parents.get(node)
+        while parent is not None:
+            if (isinstance(parent, ast.If) and child in parent.body
+                    and _dotted(parent.test) in ("TYPE_CHECKING",
+                                                 "typing.TYPE_CHECKING")):
+                return True
+            child, parent = parent, ctx.parents.get(parent)
+        return False
+
+
 #: Rule registry: id -> factory.  ``default_rules()`` instantiates fresh
 #: rule objects per run (cross-file rules keep accumulator state on self).
 ALL_RULES = {
@@ -581,6 +632,7 @@ ALL_RULES = {
     AtomicWriteRule.id: AtomicWriteRule,
     SpawnContextRule.id: SpawnContextRule,
     FaultSeamRule.id: FaultSeamRule,
+    ImportWeightRule.id: ImportWeightRule,
 }
 
 

@@ -183,11 +183,21 @@ class TestLemma14CLT:
         assert imbalance_std_after_balanced_round(1600) == pytest.approx(np.sqrt(300.0))
 
     def test_gaussian_sandwich_order(self):
+        norm = pytest.importorskip("scipy.stats").norm
         for x in (0.0, 0.5, 1.0, 2.0, 4.0):
             lo, hi = gaussian_tail_bounds(x)
             assert lo <= hi
-            from scipy.stats import norm
             assert lo <= 1 - norm.cdf(x) <= hi + 1e-12
+
+    def test_asymptotic_probability_matches_normal_tail(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        for c in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0):
+            expected = norm.sf(c * np.sqrt(16.0 / 3.0))
+            assert lemma14_asymptotic_probability(c) == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
+
+    def test_asymptotic_probability_at_zero_is_one_half(self):
+        assert lemma14_asymptotic_probability(0.0) == 0.5
 
     def test_lower_bound_below_asymptotic_probability(self):
         for c in (0.1, 0.5, 1.0, 2.0):

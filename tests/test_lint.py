@@ -405,6 +405,60 @@ class TestFaultSeamCoverage:
         assert result.findings == []
 
 
+class TestImportWeight:
+    @pytest.mark.parametrize("line", [
+        "import scipy\n",
+        "import scipy.stats\n",
+        "from scipy.stats import norm\n",
+        "from scipy import stats\n",
+        "import networkx as nx\n",
+        "import numpy as np, matplotlib.pyplot as plt\n",
+    ])
+    def test_positive_top_level(self, tmp_path, line):
+        result = findings_for(tmp_path, {"analysis/m.py": line},
+                              "import-weight")
+        assert len(result.findings) == 1
+        assert "module-level import" in result.findings[0].message
+
+    def test_positive_any_scope_and_nested_blocks(self, tmp_path):
+        # class bodies and try blocks still run at import time
+        src = ("try:\n    import networkx\nexcept ImportError:\n    pass\n"
+               "class C:\n    from scipy import special\n")
+        result = findings_for(tmp_path, {"io/m.py": src}, "import-weight")
+        assert len(result.findings) == 2
+
+    def test_negative_function_local(self, tmp_path):
+        src = ("def f():\n    from scipy.stats import norm\n    return norm\n"
+               "class C:\n    def g(self):\n        import networkx as nx\n"
+               "        return nx\n")
+        result = findings_for(tmp_path, {"network/m.py": src}, "import-weight")
+        assert result.findings == []
+
+    def test_negative_type_checking(self, tmp_path):
+        src = ("import typing\nfrom typing import TYPE_CHECKING\n"
+               "if TYPE_CHECKING:\n    import networkx as nx\n"
+               "if typing.TYPE_CHECKING:\n    from scipy import stats\n")
+        result = findings_for(tmp_path, {"network/m.py": src}, "import-weight")
+        assert result.findings == []
+
+    def test_type_checking_else_branch_flagged(self, tmp_path):
+        src = ("from typing import TYPE_CHECKING\n"
+               "if TYPE_CHECKING:\n    pass\nelse:\n    import networkx\n")
+        result = findings_for(tmp_path, {"network/m.py": src}, "import-weight")
+        assert len(result.findings) == 1
+
+    def test_negative_lookalike_and_relative_names(self, tmp_path):
+        src = ("import numpy as np\nimport scipyish\n"
+               "from .networkx import helper\n")
+        result = findings_for(tmp_path, {"io/m.py": src}, "import-weight")
+        assert result.findings == []
+
+    def test_suppression(self, tmp_path):
+        src = "import networkx  # repro-lint: disable=import-weight\n"
+        result = findings_for(tmp_path, {"io/m.py": src}, "import-weight")
+        assert result.findings == [] and len(result.suppressed) == 1
+
+
 # --------------------------------------------------------------------------- #
 # canaries: each injected single-rule violation must exit 4
 # --------------------------------------------------------------------------- #
@@ -426,6 +480,8 @@ CANARIES = {
     "fault-seam-coverage":
         {"robustness/faults.py": SEAM_CATALOG,
          "store/m.py": SEAM_CALLER + "fault_point('s.ghost')\n"},
+    "import-weight":
+        {"analysis/m.py": "from scipy.stats import norm\n"},
 }
 
 

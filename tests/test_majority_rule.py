@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.majority_rule import (
     MajorityRule,
+    _binomial_pmf,
     exact_two_bin_transition,
     two_bin_step_distribution,
 )
@@ -108,6 +109,31 @@ class TestTwoBinStepDistribution:
     def test_absorbing_at_n(self):
         dist = two_bin_step_distribution(40, 40)
         assert dist[40] == pytest.approx(1.0)
+
+    def test_matches_scipy_binomial_convolution(self):
+        binom = pytest.importorskip("scipy.stats").binom
+        for n in (1, 2, 3, 7, 16, 50, 101, 256, 400):
+            for minority in range(n + 1):
+                p_leave, p_join = exact_two_bin_transition(n, minority)
+                stay = binom.pmf(np.arange(minority + 1), minority, 1.0 - p_leave)
+                join = binom.pmf(np.arange(n - minority + 1), n - minority, p_join)
+                expected = np.convolve(stay, join)
+                dist = two_bin_step_distribution(n, minority)
+                np.testing.assert_allclose(dist, expected, rtol=0, atol=1e-12)
+                assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_binomial_pmf_matches_scipy(self):
+        binom = pytest.importorskip("scipy.stats").binom
+        for trials in (0, 1, 5, 64, 399, 400):
+            for p in (0.0, 1e-6, 0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+                pmf = _binomial_pmf(trials, p)
+                expected = binom.pmf(np.arange(trials + 1), trials, p)
+                np.testing.assert_allclose(pmf, expected, rtol=0, atol=1e-12)
+
+    def test_binomial_pmf_degenerate_edges_are_point_masses(self):
+        assert _binomial_pmf(0, 0.3).tolist() == [1.0]
+        assert _binomial_pmf(10, 0.0).tolist() == [1.0] + [0.0] * 10
+        assert _binomial_pmf(10, 1.0).tolist() == [0.0] * 10 + [1.0]
 
     def test_matches_monte_carlo(self):
         # empirical next-minority distribution from simulation vs exact pmf mean/var

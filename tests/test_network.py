@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,12 @@ class TestCompleteTopology:
             CompleteTopology(0)
 
 
+#: graph topologies are built with networkx, an optional (``graphs``) extra
+needs_networkx = pytest.mark.skipif(importlib.util.find_spec("networkx") is None,
+                                    reason="graph topologies need networkx")
+
+
+@needs_networkx
 class TestGraphTopologies:
     def test_ring_neighbors(self):
         topo = ring_topology(6)
@@ -266,6 +274,7 @@ class TestSampling:
             override_choices(s, victims=np.array([1]), new_choices=np.array([[0, 0], [1, 1]]))
 
 
+@needs_networkx
 class TestSeedReproducibility:
     """rng-discipline pins: seeded draws are bitwise repeatable and seedless
     draws never touch the ``random`` module's process-global state."""

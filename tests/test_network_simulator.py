@@ -63,6 +63,7 @@ class TestNetworkSimulatorBasics:
             NetworkSimulator(Configuration.all_distinct(8), topology=CompleteTopology(9))
 
     def test_works_on_ring_topology(self):
+        pytest.importorskip("networkx")
         sim = NetworkSimulator(Configuration.from_values([0] * 8 + [1] * 8),
                                topology=ring_topology(16), seed=7)
         res = sim.run(max_rounds=800)
