@@ -26,16 +26,26 @@ the simulators honour it; the ablation benchmark compares them.
 from __future__ import annotations
 
 import abc
+import copy
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.adversary.budget import BudgetLedger
 from repro.core.state import Configuration
 
-__all__ = ["AdversaryTiming", "Corruption", "CountCorruption", "Adversary", "NullAdversary"]
+__all__ = [
+    "AdversaryTiming",
+    "Corruption",
+    "CountCorruption",
+    "Adversary",
+    "NullAdversary",
+    "admissible_mask",
+    "apply_count_edits",
+    "stack_adversaries",
+]
 
 
 class AdversaryTiming(enum.Enum):
@@ -86,6 +96,10 @@ class CountCorruption:
     :class:`Corruption`: rewriting a process's value is exactly a unit of mass
     moved between two bins, so a T-bounded adversary is one whose amounts sum
     to at most T per round.
+
+    The arrays are 1-D for one run, or 2-D ``(k, e)`` for k runs at once
+    (row ``i`` holds run ``i``'s moves in order; rows with fewer moves are
+    padded with zero amounts, which enforcement skips).
     """
 
     src_values: np.ndarray
@@ -93,14 +107,13 @@ class CountCorruption:
     amounts: np.ndarray
 
     def __post_init__(self) -> None:
-        src = np.asarray(self.src_values, dtype=np.int64).ravel()
-        dst = np.asarray(self.dst_values, dtype=np.int64).ravel()
-        amt = np.asarray(self.amounts, dtype=np.int64).ravel()
-        if not (src.shape[0] == dst.shape[0] == amt.shape[0]):
-            raise ValueError("src_values, dst_values and amounts must have equal length")
-        object.__setattr__(self, "src_values", src)
-        object.__setattr__(self, "dst_values", dst)
-        object.__setattr__(self, "amounts", amt)
+        arrays = [np.asarray(a, dtype=np.int64)
+                  for a in (self.src_values, self.dst_values, self.amounts)]
+        arrays = [a if a.ndim == 2 else a.ravel() for a in arrays]
+        if not (arrays[0].shape == arrays[1].shape == arrays[2].shape):
+            raise ValueError("src_values, dst_values and amounts must have equal shape")
+        for name, arr in zip(("src_values", "dst_values", "amounts"), arrays):
+            object.__setattr__(self, name, arr)
 
     @property
     def total(self) -> int:
@@ -110,6 +123,98 @@ class CountCorruption:
     def empty(cls) -> "CountCorruption":
         z = np.empty(0, dtype=np.int64)
         return cls(src_values=z, dst_values=z, amounts=z)
+
+    @classmethod
+    def stack(cls, rows: Sequence["CountCorruption"]) -> "CountCorruption":
+        """The ``(k, e)`` form of k one-run proposals (zero-amount padding)."""
+        width = max((r.amounts.shape[0] for r in rows), default=0)
+        out = np.zeros((3, len(rows), width), dtype=np.int64)
+        for i, r in enumerate(rows):
+            e = r.amounts.shape[0]
+            out[:, i, :e] = (r.src_values, r.dst_values, r.amounts)
+        return cls(src_values=out[0], dst_values=out[1], amounts=out[2])
+
+
+def admissible_mask(support: np.ndarray, admissible_values: np.ndarray,
+                    k: int) -> np.ndarray:
+    """The ``(k, m)`` boolean palette of k runs over ``support``.
+
+    ``admissible_values`` is either a boolean mask over the support (shape
+    ``(m,)`` shared by every run, or ``(k, m)``) or an array of admissible
+    values shared by every run; values outside the support cannot be
+    written in count space and drop out.
+    """
+    admissible_values = np.asarray(admissible_values)
+    if admissible_values.dtype != np.bool_:
+        admissible_values = np.isin(support, admissible_values.astype(np.int64))
+    return np.broadcast_to(admissible_values, (k, support.shape[0]))
+
+
+def palette_min(support: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """Smallest admissible value of each row (rows must be non-empty)."""
+    return support[admissible.argmax(axis=1)]
+
+
+def palette_max(support: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """Largest admissible value of each row (rows must be non-empty)."""
+    return support[support.shape[0] - 1 - admissible[:, ::-1].argmax(axis=1)]
+
+
+def support_columns(support: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Support column of each value (clipped) and whether the value is there."""
+    cols = np.minimum(np.searchsorted(support, values), support.shape[0] - 1)
+    return cols, support[cols] == values
+
+
+def apply_count_edits(support: np.ndarray, counts: np.ndarray,
+                      budgets: np.ndarray, admissible: np.ndarray,
+                      proposal: CountCorruption) -> Tuple[np.ndarray, np.ndarray]:
+    """Enforce the T-bounded model on k runs' proposed count edits at once.
+
+    Row by row, the moves are applied in order under the rules of the
+    model: a move with a non-positive amount, a source or destination
+    outside ``support``, or a destination outside the row's ``admissible``
+    palette is dropped; the rest is clipped to the budget left in the row
+    and to the current load of its source bin, so no bin goes negative and
+    a row spends at most ``budgets[i]``.  The moves are replayed one
+    column of the ``(k, e)`` proposal at a time, each step vectorised over
+    the rows.  Returns the new ``(k, m)`` counts and the ``(k,)`` number of
+    processes each row rewrote.
+    """
+    k, m = counts.shape
+    width = proposal.amounts.size // k if k else 0
+    out = counts.copy()
+    left = np.array(budgets, dtype=np.int64)
+    if m == 0 or width == 0:
+        return out, budgets - left
+    src, src_ok = support_columns(support, proposal.src_values.reshape(k, width))
+    dst, dst_ok = support_columns(support, proposal.dst_values.reshape(k, width))
+    amounts = proposal.amounts.reshape(k, width)
+    r = np.arange(k)
+    valid = (amounts > 0) & src_ok & dst_ok & admissible[r[:, None], dst]
+    want = np.where(valid, amounts, 0)
+    for j in range(width):
+        s, d = src[:, j], dst[:, j]
+        move = np.minimum(np.minimum(want[:, j], left), out[r, s])
+        out[r, s] -= move
+        out[r, d] += move
+        left -= move
+    return out, budgets - left
+
+
+def stack_adversaries(runs: Sequence["Adversary"]) -> "Adversary":
+    """One adversary that corrupts every run of ``runs`` in a single call.
+
+    The runs must share a :meth:`Adversary.stack_key` (same strategy, timing
+    and parameters; budgets may differ).  The group carries the count-space
+    strategy state of all runs as arrays with one row per run and records
+    each run's spending in that run's own ledger; address runs by their
+    position in ``runs`` (the ``rows`` argument of the count-space methods).
+    """
+    group = copy.copy(runs[0])
+    group._runs = list(runs)
+    group._reset_state(len(runs))
+    return group
 
 
 class Adversary(abc.ABC):
@@ -132,6 +237,8 @@ class Adversary(abc.ABC):
         self.budget = int(budget)
         self.timing = timing
         self.ledger = BudgetLedger(budget=self.budget)
+        self._runs: Optional[List[Adversary]] = None
+        self._reset_state(1)
 
     # ------------------------------------------------------------------ #
     # strategy interface
@@ -198,6 +305,37 @@ class Adversary(abc.ABC):
     # ------------------------------------------------------------------ #
     # occupancy-space (count-edit) interface
     # ------------------------------------------------------------------ #
+    # An adversary corrupts one run, or — stacked by stack_adversaries —
+    # a group of runs at once.  The count-space methods take a (k, m) block
+    # of counts and `rows`, the positions in `runs` of the block's k runs
+    # (default: all of them, in order); strategy state is kept as arrays
+    # with one row per run.
+    @property
+    def runs(self) -> List["Adversary"]:
+        """The runs this adversary corrupts: itself, or its stacked group."""
+        return self._runs if self._runs is not None else [self]
+
+    @property
+    def budgets(self) -> np.ndarray:
+        """Per-run budgets, one per entry of :attr:`runs`."""
+        return np.array([adv.budget for adv in self.runs], dtype=np.int64)
+
+    def stack_key(self) -> Hashable:
+        """Adversaries with equal keys can be stacked into one group.
+
+        Strategies with parameters beyond budget and timing add them.
+        """
+        return (type(self), self.timing)
+
+    def _reset_state(self, num_runs: int) -> None:
+        """(Re)initialise per-run strategy state for ``num_runs`` runs."""
+
+    @classmethod
+    def has_count_form(cls) -> bool:
+        """True iff the class defines a count-space proposal."""
+        return (cls.propose_counts is not Adversary.propose_counts
+                or cls.propose_counts_batch is not Adversary.propose_counts_batch)
+
     def propose_counts(
         self,
         support: np.ndarray,
@@ -206,28 +344,53 @@ class Adversary(abc.ABC):
         admissible_values: np.ndarray,
         rng: np.random.Generator,
     ) -> Optional[CountCorruption]:
-        """Propose this round's writes as count edits over the value support.
+        """Propose one run's writes as count edits over the value support.
 
-        Strategies whose behaviour depends on the configuration only through
-        its occupancy vector override this (balancing, reviving, switching,
-        random, targeted-median); the override must be *distributionally
-        equivalent* to :meth:`propose` applied to any expansion of the counts.
-        Identity-tracking strategies (sticky, hiding) override it too, by
-        tracking the *occupancy* of their victim set instead of victim
-        identities (see :meth:`victim_counts` /
-        :meth:`observe_victim_scatter` — the engines scatter the victim
-        subpopulation separately, which keeps the tracking exact).  Custom
-        identity-tracking adversaries without such a form keep the default,
-        which returns ``None`` so the occupancy engine can fail fast with a
-        clear error.
+        The per-run extension point for custom strategies (the shipped ones
+        define :meth:`propose_counts_batch` instead).  Strategies whose
+        behaviour depends on the configuration only through its occupancy
+        vector can override it; the override must be *distributionally
+        equivalent* to :meth:`propose` applied to any expansion of the
+        counts.  The default returns ``None`` — no count-space form — so the
+        occupancy engines can fail fast with a clear error.
         """
         return None
+
+    def propose_counts_batch(
+        self,
+        support: np.ndarray,
+        counts: np.ndarray,
+        round_index: int,
+        admissible: np.ndarray,
+        rng: np.random.Generator,
+        rows: np.ndarray,
+    ) -> Optional[CountCorruption]:
+        """Propose this round's count edits for k runs at once.
+
+        ``counts`` is ``(k, m)``, ``admissible`` the ``(k, m)`` boolean
+        palette of each run (every row non-empty), ``rows`` the runs'
+        positions in :attr:`runs`; returns a ``(k, e)``
+        :class:`CountCorruption` (or ``None`` if there is no count-space
+        form).  Random draws must be made run by run in row order.  The
+        shipped strategies override this with whole-row array programs; the
+        default asks each run's :meth:`propose_counts` in turn.
+        """
+        runs = self.runs
+        proposals = []
+        for i, r in enumerate(rows):
+            proposal = runs[r].propose_counts(support, counts[i], round_index,
+                                              support[admissible[i]], rng)
+            if proposal is None:
+                return None
+            proposals.append(proposal)
+        return CountCorruption.stack(proposals)
 
     # ------------------------------------------------------------------ #
     # victim-occupancy tracking (identity-tracking strategies in count space)
     # ------------------------------------------------------------------ #
-    def victim_counts(self, support: np.ndarray) -> Optional[np.ndarray]:
-        """Current occupancy of this adversary's victim set over ``support``.
+    def victim_counts(self, support: np.ndarray,
+                      rows: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        """Current ``(k, m)`` occupancy of the victim sets of runs ``rows``.
 
         ``None`` (the default) means the adversary does not track a victim
         subpopulation and the engines run their plain fused scatter.  An
@@ -243,16 +406,17 @@ class Adversary(abc.ABC):
         """
         return None
 
-    def observe_victim_scatter(self, support: np.ndarray,
-                               victim_counts: np.ndarray) -> None:
-        """Receive the victims' occupancy after a round's scatter (no-op here)."""
+    def observe_victim_scatter(self, support: np.ndarray, victim_counts: np.ndarray,
+                               rows: Optional[np.ndarray] = None) -> None:
+        """Receive the victims' ``(k, m)`` occupancy after a round's scatter
+        (no-op here)."""
 
     @property
     def supports_counts(self) -> bool:
         """True iff this adversary can drive the occupancy-space engine."""
         if self.budget == 0:
             return True
-        return type(self).propose_counts is not Adversary.propose_counts
+        return self.has_count_form()
 
     def corrupt_counts(
         self,
@@ -261,55 +425,52 @@ class Adversary(abc.ABC):
         round_index: int,
         admissible_values: np.ndarray,
         rng: np.random.Generator,
+        rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply the budget- and value-constrained count edits for one round.
 
-        The occupancy-space twin of :meth:`corrupt`: clips the proposal to the
-        per-round budget, drops moves from absent bins or to inadmissible
-        values, never lets a bin go negative, and records the number of
-        processes actually rewritten in the same :class:`BudgetLedger`.
-        Returns a **new** counts array; the input is never mutated.
+        The occupancy-space twin of :meth:`corrupt`, for one run (``counts``
+        of shape ``(m,)``) or a block of runs (``(k, m)``, with ``rows``
+        their positions in :attr:`runs`).  ``admissible_values`` is the
+        palette: admissible values, or a boolean mask over the support
+        (see :func:`admissible_mask`).  The proposal is enforced by
+        :func:`apply_count_edits` — clipped to each run's budget, moves from
+        absent bins or to inadmissible values dropped, no bin driven
+        negative — and each run's ledger records how many processes it
+        rewrote.  Returns **new** counts of the input's shape; the input is
+        never mutated.
         """
         support = np.asarray(support, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        admissible = np.unique(np.asarray(admissible_values, dtype=np.int64))
-        out = np.array(counts)
-        if self.budget == 0 or admissible.shape[0] == 0:
-            self.ledger.record(round_index, 0)
-            return out
+        block = counts.reshape(-1, support.shape[0])
+        k = block.shape[0]
+        rows = np.arange(k) if rows is None else np.asarray(rows, dtype=np.intp)
+        admissible = admissible_mask(support, admissible_values, k)
+        budgets = self.budgets[rows]
+        out = block.copy()
+        spent = np.zeros(k, dtype=np.int64)
 
-        proposal = self.propose_counts(support, counts, round_index, admissible, rng)
-        if proposal is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} tracks process identities and has no "
-                "occupancy-space (count-edit) form; use the vectorized engine"
-            )
-
-        spent = 0
-        for src, dst, amount in zip(proposal.src_values, proposal.dst_values,
-                                    proposal.amounts):
-            if spent >= self.budget or amount <= 0:
-                continue
-            if dst not in admissible:
-                continue
-            si = int(np.searchsorted(support, src))
-            di = int(np.searchsorted(support, dst))
-            if si >= support.shape[0] or support[si] != src:
-                continue
-            if di >= support.shape[0] or support[di] != dst:
-                continue
-            move = int(min(amount, self.budget - spent, out[si]))
-            if move <= 0:
-                continue
-            out[si] -= move
-            out[di] += move
-            spent += move
-        self.ledger.record(round_index, spent)
-        return out
+        live = np.flatnonzero((budgets > 0) & admissible.any(axis=1))
+        if live.size:
+            proposal = self.propose_counts_batch(support, block[live], round_index,
+                                                 admissible[live], rng, rows[live])
+            if proposal is None:
+                raise NotImplementedError(
+                    f"{type(self).__name__} tracks process identities and has no "
+                    "occupancy-space (count-edit) form; use the vectorized engine"
+                )
+            out[live], spent[live] = apply_count_edits(
+                support, block[live], budgets[live], admissible[live], proposal)
+        runs = self.runs
+        for r, count in zip(rows.tolist(), spent.tolist()):
+            runs[r].ledger.record(round_index, count)
+        return out.reshape(counts.shape)
 
     def reset(self) -> None:
-        """Clear per-run internal state (ledger and any strategy memory)."""
-        self.ledger = BudgetLedger(budget=self.budget)
+        """Clear per-run internal state (ledgers and any strategy memory)."""
+        for adv in self.runs:
+            adv.ledger = BudgetLedger(budget=adv.budget)
+        self._reset_state(len(self.runs))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(budget={self.budget}, timing={self.timing.value})"

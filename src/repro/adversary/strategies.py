@@ -28,19 +28,30 @@ paper:
 All strategies only *propose*; :class:`~repro.adversary.base.Adversary`
 enforces the budget and the initial-value-set constraint.
 
-Every strategy also carries a count-space form (``propose_counts``) able to
-drive the occupancy engines; the identity-tracking pair (sticky, hiding)
-does so exactly by tracking its victims' *occupancy* instead of their
-identities (:class:`_VictimOccupancyMixin`).
+Every strategy also carries a count-space form (``propose_counts_batch``)
+able to drive the occupancy engines, written over whole ``(k, m)`` blocks
+of runs so a stacked group of runs is corrupted in one call; the
+identity-tracking pair (sticky, hiding) does so exactly by tracking its
+victims' *occupancy* instead of their identities
+(:class:`_VictimOccupancyMixin`).  Random draws are made run by run in row
+order, so a group draws exactly what its runs would draw one after another.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.adversary.base import Adversary, AdversaryTiming, Corruption, CountCorruption
+from repro.adversary.base import (
+    Adversary,
+    AdversaryTiming,
+    Corruption,
+    CountCorruption,
+    palette_max,
+    palette_min,
+    support_columns,
+)
 
 __all__ = [
     "BalancingAdversary",
@@ -93,6 +104,25 @@ def _victims_per_bin(counts: np.ndarray, size: int,
     return np.bincount(bins, minlength=counts.shape[0]).astype(np.int64)
 
 
+def _victims_per_row(counts: np.ndarray, budgets: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """:func:`_victims_per_bin` for each row of a ``(k, m)`` block, drawn
+    row by row in order."""
+    out = np.zeros_like(counts)
+    for i in range(counts.shape[0]):
+        out[i] = _victims_per_bin(counts[i], int(budgets[i]), rng)
+    return out
+
+
+def _moves_to(support: np.ndarray, targets: np.ndarray,
+              amounts: np.ndarray) -> CountCorruption:
+    """Move ``amounts[i, j]`` processes of bin ``j`` to ``targets[i]``."""
+    k, m = amounts.shape
+    return CountCorruption(src_values=np.broadcast_to(support, (k, m)),
+                           dst_values=np.broadcast_to(targets[:, None], (k, m)),
+                           amounts=amounts)
+
+
 class BalancingAdversary(Adversary):
     """Keep the top two values as balanced as possible.
 
@@ -103,14 +133,11 @@ class BalancingAdversary(Adversary):
     be *exact*, only almost stable — matching the paper's definition).
     """
 
-    def __init__(self, budget: int,
-                 timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
-        super().__init__(budget=budget, timing=timing)
+    def _reset_state(self, num_runs: int) -> None:
         self._last_runner_up: Optional[int] = None
-
-    def reset(self) -> None:
-        super().reset()
-        self._last_runner_up = None
+        # count space: each run's last runner-up value, if it had one
+        self._runner_up = np.zeros(num_runs, dtype=np.int64)
+        self._has_runner_up = np.zeros(num_runs, dtype=bool)
 
     def propose(self, values: np.ndarray, round_index: int,
                 admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
@@ -143,38 +170,40 @@ class BalancingAdversary(Adversary):
         return Corruption(indices=victims,
                           values=np.full(victims.shape[0], runner_up, dtype=np.int64))
 
-
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
         # Mirrors `propose` exactly: which holders of the leader get rewritten
         # is irrelevant in count space, so the move is a deterministic mass
-        # transfer from the leader bin to the runner-up bin.
-        nz = np.flatnonzero(counts > 0)
-        if nz.shape[0] == 0:
-            return CountCorruption.empty()
-        order = nz[np.argsort(-counts[nz], kind="stable")]
-        leader = int(support[order[0]])
+        # transfer from the leader bin to the runner-up bin.  argmax picks
+        # the lowest bin among tied loads, as the stable sort does.
+        k = counts.shape[0]
+        r = np.arange(k)
+        budgets = self.budgets[rows]
+        leader = counts.argmax(axis=1)
+        rest = counts.copy()
+        rest[r, leader] = -1
+        second = rest.argmax(axis=1)
+        contested = rest[r, second] > 0          # at least two values present
+        gap = counts[r, leader] - rest[r, second]
+        want = np.where(contested, np.minimum(budgets, (gap + 1) // 2), budgets)
+        self._runner_up[rows[contested]] = support[second[contested]]
+        self._has_runner_up[rows[contested]] = True
 
-        if order.shape[0] >= 2:
-            runner_up = int(support[order[1]])
-            self._last_runner_up = runner_up
-            gap = int(counts[order[0]]) - int(counts[order[1]])
-            want = min(self.budget, max((gap + 1) // 2, 0))
-        else:
-            others = admissible_values[admissible_values != leader]
-            if others.shape[0] == 0:
-                return CountCorruption.empty()
-            if self._last_runner_up is not None and self._last_runner_up in others:
-                runner_up = self._last_runner_up
-            else:
-                runner_up = int(others[0])
-            want = self.budget
-
-        if want <= 0:
-            return CountCorruption.empty()
-        return CountCorruption(src_values=[leader], dst_values=[runner_up],
-                               amounts=[want])
+        # consensus: re-seed the last runner-up if it is still admissible,
+        # else the smallest admissible value other than the leader
+        others = admissible.copy()
+        others[r, leader] = False
+        col, present = support_columns(support, self._runner_up[rows])
+        keep = self._has_runner_up[rows] & present & others[r, col]
+        reseed = np.where(keep, col, others.argmax(axis=1))
+        runner_up = np.where(contested, second, reseed)
+        want = np.where((contested | others.any(axis=1)) & (counts[r, leader] > 0),
+                        want, 0)
+        return CountCorruption(src_values=support[leader][:, None],
+                               dst_values=support[runner_up][:, None],
+                               amounts=want[:, None])
 
 
 class RevivingAdversary(Adversary):
@@ -209,21 +238,21 @@ class RevivingAdversary(Adversary):
         return Corruption(indices=victims,
                           values=np.full(victims.shape[0], target, dtype=np.int64))
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
+    def stack_key(self) -> Hashable:
+        return (type(self), self.timing, self.delay, self.target_value)
+
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
         if round_index < self.delay:
             return CountCorruption.empty()
-        target = int(admissible_values.min()) if self.target_value is None \
-            else int(self.target_value)
+        targets = palette_min(support, admissible) if self.target_value is None \
+            else np.full(counts.shape[0], int(self.target_value), dtype=np.int64)
         # victims are uniform among processes *not* holding the target
-        candidate_counts = np.where(support == target, 0, counts)
-        per_bin = _victims_per_bin(candidate_counts, self.budget, rng)
-        src = support[per_bin > 0]
-        amounts = per_bin[per_bin > 0]
-        return CountCorruption(src_values=src,
-                               dst_values=np.full(src.shape[0], target, dtype=np.int64),
-                               amounts=amounts)
+        candidates = np.where(support[None, :] == targets[:, None], 0, counts)
+        per_bin = _victims_per_row(candidates, self.budgets[rows], rng)
+        return _moves_to(support, targets, per_bin)
 
 
 class _VictimOccupancyMixin:
@@ -241,57 +270,60 @@ class _VictimOccupancyMixin:
     :meth:`observe_victim_scatter` — so the count-space form is equal in law
     to the vectorized one, not an approximation.
 
-    State is a ``{value: victim count}`` mapping (``None`` before the victims
-    are chosen); subclasses call :meth:`_propose_pinned_counts` from their
-    ``propose_counts``.
+    State is a per-run flag saying whether the victims are chosen and a
+    ``(runs, m)`` array of victim counts over the engine's (fixed) support,
+    allocated when the first victims are chosen; subclasses call
+    :meth:`_propose_pinned_counts` from their ``propose_counts_batch``.
     """
 
-    _victim_loads: Optional[Dict[int, int]] = None
+    def _reset_state(self, num_runs: int) -> None:
+        super()._reset_state(num_runs)  # type: ignore[misc]
+        self._victims: Optional[np.ndarray] = None   # value-space identities
+        self._victim_loads: Optional[np.ndarray] = None
+        self._chosen = np.zeros(num_runs, dtype=bool)
 
-    def victim_counts(self, support: np.ndarray) -> Optional[np.ndarray]:
-        if self._victim_loads is None:
+    def _rows(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        return np.arange(self._chosen.shape[0]) if rows is None else rows
+
+    def victim_counts(self, support: np.ndarray,
+                      rows: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        rows = self._rows(rows)
+        if not self._chosen[rows].any():
             return None
-        support = np.asarray(support, dtype=np.int64)
-        out = np.zeros(support.shape[0], dtype=np.int64)
-        for value, cnt in self._victim_loads.items():
-            i = int(np.searchsorted(support, value))
-            if i < support.shape[0] and support[i] == value:
-                out[i] = cnt
-        return out
+        return self._victim_loads[rows]
 
-    def observe_victim_scatter(self, support: np.ndarray,
-                               victim_counts: np.ndarray) -> None:
-        if self._victim_loads is None:
-            return  # victims not chosen yet (e.g. first round, AFTER_SAMPLING)
-        victim_counts = np.asarray(victim_counts, dtype=np.int64)
-        self._victim_loads = {int(v): int(c)
-                              for v, c in zip(support, victim_counts) if c > 0}
+    def observe_victim_scatter(self, support: np.ndarray, victim_counts: np.ndarray,
+                               rows: Optional[np.ndarray] = None) -> None:
+        # runs whose victims are not chosen yet (e.g. first round,
+        # AFTER_SAMPLING) keep nothing
+        rows = self._rows(rows)
+        chosen = self._chosen[rows]
+        if chosen.any():
+            self._victim_loads[rows[chosen]] = np.asarray(victim_counts)[chosen]
 
     def _propose_pinned_counts(self, support: np.ndarray, counts: np.ndarray,
-                               target: int, admissible_values: np.ndarray,
-                               rng: np.random.Generator) -> CountCorruption:
+                               targets: np.ndarray, admissible: np.ndarray,
+                               rng: np.random.Generator, rows: np.ndarray
+                               ) -> CountCorruption:
+        k, m = counts.shape
         if self._victim_loads is None:
+            self._victim_loads = np.zeros((self._chosen.shape[0], m), dtype=np.int64)
+        fresh = np.flatnonzero(~self._chosen[rows])
+        if fresh.size:
             # victims are chosen once, uniformly among all processes — the
             # count-space twin of rng.choice(n, T, replace=False)
-            per_bin = _victims_per_bin(counts, self.budget, rng)
-            self._victim_loads = {int(v): int(c)
-                                  for v, c in zip(support, per_bin) if c > 0}
-        else:
-            per_bin = self.victim_counts(support)
-        if target not in admissible_values:
-            # the enforcement wrapper would drop every write (matching the
-            # vectorized path, where inadmissible values are filtered); the
-            # victims stay tracked but unpinned
-            return CountCorruption.empty()
-        total = int(per_bin.sum())
-        if total > 0:
-            self._victim_loads = {int(target): total}
-        mask = per_bin > 0
-        src = np.asarray(support, dtype=np.int64)[mask]
-        return CountCorruption(
-            src_values=src,
-            dst_values=np.full(src.shape[0], target, dtype=np.int64),
-            amounts=per_bin[mask])
+            self._victim_loads[rows[fresh]] = _victims_per_row(
+                counts[fresh], self.budgets[rows[fresh]], rng)
+            self._chosen[rows[fresh]] = True
+        per_bin = self._victim_loads[rows]
+        # a target outside the palette: enforcement would drop every write
+        # (matching the vectorized path, where inadmissible values are
+        # filtered), so the victims stay tracked but unpinned
+        col, present = support_columns(support, targets)
+        pinned = present & admissible[np.arange(k), col]
+        self._victim_loads[rows[pinned]] = 0
+        self._victim_loads[rows[pinned], col[pinned]] = per_bin[pinned].sum(axis=1)
+        return _moves_to(support, targets, np.where(pinned[:, None], per_bin, 0))
 
 
 class HidingAdversary(_VictimOccupancyMixin, Adversary):
@@ -306,12 +338,9 @@ class HidingAdversary(_VictimOccupancyMixin, Adversary):
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
         super().__init__(budget=budget, timing=timing)
         self.hidden_value = hidden_value
-        self._victims: Optional[np.ndarray] = None
 
-    def reset(self) -> None:
-        super().reset()
-        self._victims = None
-        self._victim_loads = None
+    def stack_key(self) -> Hashable:
+        return (type(self), self.timing, self.hidden_value)
 
     def propose(self, values: np.ndarray, round_index: int,
                 admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
@@ -324,13 +353,14 @@ class HidingAdversary(_VictimOccupancyMixin, Adversary):
         return Corruption(indices=self._victims,
                           values=np.full(self._victims.shape[0], target, dtype=np.int64))
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = int(admissible_values.max()) if self.hidden_value is None \
-            else int(self.hidden_value)
-        return self._propose_pinned_counts(support, counts, target,
-                                           admissible_values, rng)
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
+        targets = palette_max(support, admissible) if self.hidden_value is None \
+            else np.full(counts.shape[0], int(self.hidden_value), dtype=np.int64)
+        return self._propose_pinned_counts(support, counts, targets, admissible,
+                                           rng, rows)
 
 
 class SwitchingAdversary(Adversary):
@@ -350,17 +380,14 @@ class SwitchingAdversary(Adversary):
         return Corruption(indices=victims,
                           values=np.full(victims.shape[0], target, dtype=np.int64))
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = int(admissible_values.min()) if round_index % 2 == 0 \
-            else int(admissible_values.max())
-        per_bin = _victims_per_bin(counts, self.budget, rng)
-        src = support[per_bin > 0]
-        amounts = per_bin[per_bin > 0]
-        return CountCorruption(src_values=src,
-                               dst_values=np.full(src.shape[0], target, dtype=np.int64),
-                               amounts=amounts)
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
+        targets = palette_min(support, admissible) if round_index % 2 == 0 \
+            else palette_max(support, admissible)
+        per_bin = _victims_per_row(counts, self.budgets[rows], rng)
+        return _moves_to(support, targets, per_bin)
 
 
 class RandomCorruptionAdversary(Adversary):
@@ -373,23 +400,26 @@ class RandomCorruptionAdversary(Adversary):
         new_vals = rng.choice(admissible_values, size=victims.shape[0], replace=True)
         return Corruption(indices=victims, values=new_vals)
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        per_bin = _victims_per_bin(counts, self.budget, rng)
-        uniform = np.full(admissible_values.shape[0],
-                          1.0 / admissible_values.shape[0])
-        src_list, dst_list, amount_list = [], [], []
-        for i in np.flatnonzero(per_bin):
-            # each victim from this bin independently picks a uniform
-            # admissible value, exactly as in the per-process proposal
-            split = rng.multinomial(int(per_bin[i]), uniform)
-            for j in np.flatnonzero(split):
-                src_list.append(int(support[i]))
-                dst_list.append(int(admissible_values[j]))
-                amount_list.append(int(split[j]))
-        return CountCorruption(src_values=src_list, dst_values=dst_list,
-                               amounts=amount_list)
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
+        budgets = self.budgets[rows]
+        proposals = []
+        for i in range(counts.shape[0]):
+            per_bin = _victims_per_bin(counts[i], int(budgets[i]), rng)
+            palette = support[admissible[i]]
+            # each victim independently picks a uniform admissible value,
+            # exactly as in the per-process proposal: one multinomial split
+            # per non-empty bin, drawn bin by bin
+            src = np.flatnonzero(per_bin)
+            split = rng.multinomial(per_bin[src],
+                                    np.full(palette.shape[0], 1.0 / palette.shape[0]))
+            s, d = np.nonzero(split)
+            proposals.append(CountCorruption(src_values=support[src[s]],
+                                             dst_values=palette[d],
+                                             amounts=split[s, d]))
+        return CountCorruption.stack(proposals)
 
 
 class TargetedMedianAdversary(Adversary):
@@ -413,20 +443,23 @@ class TargetedMedianAdversary(Adversary):
         return Corruption(indices=victims,
                           values=np.full(victims.shape[0], target, dtype=np.int64))
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        cum = np.cumsum(counts)
-        n = int(cum[-1])
-        # searchsorted can only land on a bin whose count is positive (a zero
-        # bin repeats the previous cumulative value), so holders > 0 always
-        med_idx = int(np.searchsorted(cum, (n - 1) // 2 + 1))
-        median_val = int(support[med_idx])
-        lo, hi = int(admissible_values.min()), int(admissible_values.max())
-        target = hi if (hi - median_val) >= (median_val - lo) else lo
-        holders = int(counts[med_idx])
-        return CountCorruption(src_values=[median_val], dst_values=[target],
-                               amounts=[min(self.budget, holders)])
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
+        cum = np.cumsum(counts, axis=1)
+        rank = (cum[:, -1] - 1) // 2 + 1
+        # row-wise searchsorted: it can only land on a bin whose count is
+        # positive (a zero bin repeats the previous cumulative value), so
+        # holders > 0 always
+        med_idx = (cum < rank[:, None]).sum(axis=1)
+        median_val = support[med_idx]
+        lo, hi = palette_min(support, admissible), palette_max(support, admissible)
+        targets = np.where(hi - median_val >= median_val - lo, hi, lo)
+        holders = counts[np.arange(counts.shape[0]), med_idx]
+        return CountCorruption(src_values=median_val[:, None],
+                               dst_values=targets[:, None],
+                               amounts=np.minimum(self.budgets[rows], holders)[:, None])
 
 
 class StickyAdversary(_VictimOccupancyMixin, Adversary):
@@ -442,12 +475,9 @@ class StickyAdversary(_VictimOccupancyMixin, Adversary):
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
         super().__init__(budget=budget, timing=timing)
         self.pinned_value = pinned_value
-        self._victims: Optional[np.ndarray] = None
 
-    def reset(self) -> None:
-        super().reset()
-        self._victims = None
-        self._victim_loads = None
+    def stack_key(self) -> Hashable:
+        return (type(self), self.timing, self.pinned_value)
 
     def propose(self, values: np.ndarray, round_index: int,
                 admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
@@ -460,13 +490,14 @@ class StickyAdversary(_VictimOccupancyMixin, Adversary):
         return Corruption(indices=self._victims,
                           values=np.full(self._victims.shape[0], target, dtype=np.int64))
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = int(admissible_values.max()) if self.pinned_value is None \
-            else int(self.pinned_value)
-        return self._propose_pinned_counts(support, counts, target,
-                                           admissible_values, rng)
+    def propose_counts_batch(self, support: np.ndarray, counts: np.ndarray,
+                             round_index: int, admissible: np.ndarray,
+                             rng: np.random.Generator, rows: np.ndarray
+                             ) -> CountCorruption:
+        targets = palette_max(support, admissible) if self.pinned_value is None \
+            else np.full(counts.shape[0], int(self.pinned_value), dtype=np.int64)
+        return self._propose_pinned_counts(support, counts, targets, admissible,
+                                           rng, rows)
 
 
 #: Registry of adversary strategies by name (for experiment configuration).

@@ -21,8 +21,8 @@ per round and therefore in where they are fast:
     two-choices-majority) and adversaries a count-edit form — every shipped
     strategy has one, the identity-tracking pair (sticky, hiding) through
     exact victim-*occupancy* tracking, which costs one extra multinomial
-    scatter per round (~2× the no-adversary round, still n-independent);
-    per-ball quantities (gravity, per-process trajectories) are unavailable.
+    scatter per round (still n-independent); per-ball quantities (gravity,
+    per-process trajectories) are unavailable.
 
 ``batch`` (:func:`repro.engine.batch.run_batch` / :func:`~repro.engine.batch.run_batch_fused` / :func:`~repro.engine.batch.run_batch_fused_occupancy`)
     Monte-Carlo over independent runs.  ``run_batch`` repeats any single-run
@@ -58,9 +58,18 @@ per round and therefore in where they are fast:
                        identity-tracking pair sticky / hiding (exact
                        victim-occupancy forms: the engine scatters the victim
                        subpopulation separately — one extra multinomial pass
-                       per round, cost ~2× the no-adversary round, still
-                       independent of n).  Custom adversaries without a
-                       ``propose_counts`` override stay vectorized-only.
+                       per round, still independent of n).  Custom
+                       adversaries without a count-space form
+                       (``propose_counts`` / ``propose_counts_batch``) stay
+                       vectorized-only.
+    adversary cost     count edits run batched: the fused engine corrupts
+                       all runs of one strategy in one call per round
+                       (``stack_adversaries``).  At n=10⁸, m=64, R=256
+                       (median rule, T=2500, 2-core machine) a cell costs
+                       ~3× (balancing) and ~4× (sticky) the wall clock per
+                       converged run-round of the same cell without an
+                       adversary (which also stops 10 rounds sooner and
+                       compacts emptied bins).
     =================  =========================================================
 
     ``run_batch(engine="occupancy-fused")`` checks the pair up front and

@@ -21,7 +21,8 @@ batching strategies are provided:
 * :func:`run_batch_fused_occupancy` — the multi-run analogue of the occupancy
   engine: state is one ``(R, m)`` count tensor, each round builds the stacked
   ``(R, m, m)`` outcome tensor and draws all ``R·m`` multinomials in a single
-  reshaped call.  O(R·m²) per round with **no dependence on n** and no
+  reshaped call; count-space adversaries corrupt each strategy's runs in
+  one call per round.  O(R·m²) per round with **no dependence on n** and no
   per-run Python loop, so convergence-round distributions at n = 10⁶–10⁹ cost
   the same as at n = 10⁴.  Selected as ``run_batch(engine="occupancy-fused")``.
 
@@ -36,7 +37,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
+from repro.adversary.base import (
+    Adversary,
+    AdversaryTiming,
+    NullAdversary,
+    stack_adversaries,
+)
 from repro.adversary.strategies import ADVERSARY_REGISTRY, BalancingAdversary
 from repro.core.consensus import AlmostStableCriterion
 from repro.core.median_rule import MedianRule, median_of_three
@@ -91,7 +97,7 @@ BATCH_ENGINES = tuple(ENGINES) + ("occupancy-fused",)
 #: adversaries without a ``propose_counts`` override fall out.
 COUNT_ADVERSARIES = frozenset(
     name for name, cls in ADVERSARY_REGISTRY.items()
-    if cls is None or cls.propose_counts is not Adversary.propose_counts
+    if cls is None or cls.has_count_form()
 )
 
 
@@ -551,13 +557,16 @@ def run_batch_fused_occupancy(
     batched CDF kernels, draws all ``R·m`` multinomial scatters in one
     reshaped call, and detects convergence in count space
     (``n − counts.max(axis=1)``, O(m) per run).  Per-round cost is O(R·m²)
-    independent of n, with no Python loop over runs on the no-adversary path.
+    independent of n, with no Python loop over runs (apart from adversaries'
+    run-ordered random draws and ledger entries).
 
     Semantics match ``run_batch(engine="occupancy")`` run for run, in
     distribution: per-run initial draws use the same spawned seed streams,
     adversaries act through their exact count-edit form
-    (:meth:`~repro.adversary.base.Adversary.corrupt_counts`, one fresh
-    adversary per run with its own budget ledger), convergence is the exact
+    (:meth:`~repro.adversary.base.Adversary.corrupt_counts`; one fresh
+    adversary per run with its own budget ledger, the runs of one strategy
+    stacked by :func:`~repro.adversary.base.stack_adversaries` and corrupted
+    in one call per round), convergence is the exact
     consensus round without an adversary and the first round of the trailing
     ``criterion.window`` with minority ≤ ``criterion.tolerance`` with one
     (exact consensus, if a run ever latches it, takes precedence — exactly
@@ -574,12 +583,16 @@ def run_batch_fused_occupancy(
         engine — a sibling run's values are never admissible).
     adversary_factory:
         Zero-argument callable building a fresh count-capable adversary per
-        run; ``None`` disables corruption.  The identity-tracking strategies
-        (sticky, hiding) run through their exact victim-occupancy form: their
-        runs' victim subpopulations are scattered as a separate multinomial
-        program each round (still one fused pass over the batch).  Custom
-        adversaries without a count-space form are rejected, matching the
-        single-run engine.
+        run; ``None`` disables corruption.  Runs whose adversaries share a
+        :meth:`~repro.adversary.base.Adversary.stack_key` form a group,
+        corrupted one group after another each round; within a group the
+        random draws are made run by run, so a batch of one strategy draws
+        what its runs would draw one after another.  The identity-tracking
+        strategies (sticky, hiding) run through their exact victim-occupancy
+        form: their runs' victim subpopulations are scattered as a separate
+        multinomial program each round (still one fused pass over the
+        batch).  Custom adversaries without a count-space form are rejected,
+        matching the single-run engine.
     criterion:
         Almost-stable criterion; defaults to tolerance ``4·T`` with a
         10-round window (1-round window without an adversary), matching
@@ -652,15 +665,23 @@ def run_batch_fused_occupancy(
     # revive extinct values, but never values from a sibling run), matching
     # the looped engine.
     if states[0] is states[-1]:  # fixed initial: one alignment, tiled
-        shared_palette = states[0].support[states[0].counts > 0]
-        admissibles = [shared_palette] * num_runs
-        support = shared_palette.copy()
+        support = states[0].support[states[0].counts > 0].copy()
         counts = np.tile(states[0].with_support(support).counts, (num_runs, 1))
     else:
-        admissibles = [s.support[s.counts > 0] for s in states]
-        support = reduce(np.union1d, admissibles)
+        support = reduce(np.union1d, [s.support[s.counts > 0] for s in states])
         counts = np.stack([s.with_support(support).counts for s in states])
+    palettes = counts > 0
     num_bins = int(support.shape[0])
+
+    # one stacked adversary per strategy group, its runs in run order: each
+    # round corrupts a group's active runs in one call, so a homogeneous
+    # batch draws exactly what its runs would draw one after another
+    keyed: Dict[object, List[int]] = {}
+    for i, adv in enumerate(adversaries):
+        if adv.budget > 0:
+            keyed.setdefault(adv.stack_key(), []).append(i)
+    groups = [(stack_adversaries([adversaries[i] for i in idx]), np.array(idx))
+              for idx in keyed.values()]
 
     rounds = np.full(num_runs, np.nan)
     converged = np.zeros(num_runs, dtype=bool)
@@ -688,43 +709,45 @@ def run_batch_fused_occupancy(
         rounds_executed = t
         sub = counts[act]
 
-        if any_adversary:
-            for j, r_idx in enumerate(act):
-                adv = adversaries[r_idx]
-                if adv.budget > 0 and adv.timing is AdversaryTiming.BEFORE_SAMPLING:
-                    sub[j] = adv.corrupt_counts(support, sub[j], t,
-                                                admissibles[r_idx], rng)
+        # each group's active runs: their positions in the group (`rows`)
+        # and in `sub` (`pos`)
+        placed = []
+        for group, idx in groups:
+            rows = np.flatnonzero(active[idx])
+            if rows.size:
+                placed.append((group, rows, np.searchsorted(act, idx[rows]),
+                               palettes[idx[rows]]))
 
+        for group, rows, pos, palette in placed:
+            if group.timing is AdversaryTiming.BEFORE_SAMPLING:
+                sub[pos] = group.corrupt_counts(support, sub[pos], t, palette,
+                                                rng, rows=rows)
+
+        # runs whose adversary tracks a victim occupancy (sticky, hiding) get
+        # their victims scattered as a separate — exactly equivalent —
+        # multinomial program, and learn the victims' new occupancy
+        victims = None
         tracked = []
-        if any_adversary:
-            # runs whose adversary tracks a victim occupancy (sticky, hiding)
-            # get their victims scattered as a separate — exactly equivalent —
-            # multinomial program, and learn the victims' new occupancy
-            victims = None
-            for j, r_idx in enumerate(act):
-                adv = adversaries[r_idx]
-                if adv.budget > 0:
-                    vc = adv.victim_counts(support)
-                    if vc is not None:
-                        if victims is None:
-                            victims = np.zeros_like(sub)
-                        victims[j] = vc
-                        tracked.append((j, r_idx))
-        if tracked:
+        for group, rows, pos, _ in placed:
+            vc = group.victim_counts(support, rows)
+            if vc is not None:
+                if victims is None:
+                    victims = np.zeros_like(sub)
+                victims[pos] = vc
+                tracked.append((group, rows, pos))
+        if victims is not None:
             sub, new_victims = _occupancy_round_blocked_split(
                 sub, victims, rule, rng, max_block_elems, support=support)
-            for j, r_idx in tracked:
-                adversaries[r_idx].observe_victim_scatter(support, new_victims[j])
+            for group, rows, pos in tracked:
+                group.observe_victim_scatter(support, new_victims[pos], rows)
         else:
             sub = _occupancy_round_blocked(sub, rule, rng, max_block_elems,
                                            support=support)
 
-        if any_adversary:
-            for j, r_idx in enumerate(act):
-                adv = adversaries[r_idx]
-                if adv.budget > 0 and adv.timing is AdversaryTiming.AFTER_SAMPLING:
-                    sub[j] = adv.corrupt_counts(support, sub[j], t,
-                                                admissibles[r_idx], rng)
+        for group, rows, pos, palette in placed:
+            if group.timing is AdversaryTiming.AFTER_SAMPLING:
+                sub[pos] = group.corrupt_counts(support, sub[pos], t, palette,
+                                                rng, rows=rows)
 
         counts[act] = sub
         minority = n - sub.max(axis=1)

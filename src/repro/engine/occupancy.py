@@ -746,6 +746,7 @@ def simulate_occupancy(
     state = state.with_support(np.union1d(state.support, admissible))
     support = state.support
     counts = np.array(state.counts)
+    palette = np.isin(support, admissible)
 
     if record is RecordLevel.FULL and n > _FULL_RECORD_LIMIT:
         raise ValueError(
@@ -786,18 +787,18 @@ def simulate_occupancy(
     rounds_executed = 0
     for t in range(1, horizon + 1):
         if adversary.budget > 0 and adversary.timing is AdversaryTiming.BEFORE_SAMPLING:
-            counts = adversary.corrupt_counts(support, counts, t, admissible, rng)
+            counts = adversary.corrupt_counts(support, counts, t, palette, rng)
 
         victims = adversary.victim_counts(support) if adversary.budget > 0 else None
         if victims is not None:
-            counts, new_victims = occupancy_round_split(counts, victims, rule,
+            counts, new_victims = occupancy_round_split(counts, victims[0], rule,
                                                         rng, support=support)
-            adversary.observe_victim_scatter(support, new_victims)
+            adversary.observe_victim_scatter(support, new_victims[None])
         else:
             counts = occupancy_round(counts, rule, rng, support=support)
 
         if adversary.budget > 0 and adversary.timing is AdversaryTiming.AFTER_SAMPLING:
-            counts = adversary.corrupt_counts(support, counts, t, admissible, rng)
+            counts = adversary.corrupt_counts(support, counts, t, palette, rng)
 
         rounds_executed = t
         _record(counts, t)
