@@ -172,20 +172,23 @@ class TwoChoicesMajorityRule(Rule):
     ) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64)
         self.validate_samples(values.shape[0], samples)
-        a = values[samples[:, 0]]
+        out = values[samples[:, 0]]
         b = values[samples[:, 1]]
         c = values[samples[:, 2]]
         # If at least two agree, that value wins; otherwise pick one of the
-        # three uniformly at random.
-        out = np.where(a == b, a, np.where(a == c, a, np.where(b == c, b, a)))
-        all_distinct = (a != b) & (a != c) & (b != c)
-        if np.any(all_distinct):
-            idx = np.flatnonzero(all_distinct)
+        # three uniformly at random.  `out` starts as the first sample, which
+        # is the majority unless the other two agree.
+        agree = out == b
+        agree |= out == c
+        bc = b == c
+        np.copyto(out, b, where=bc)
+        del b, c
+        agree |= bc
+        idx = np.flatnonzero(~agree)
+        if idx.shape[0]:
             pick = rng.integers(0, 3, size=idx.shape[0])
-            stacked = np.stack([a[idx], b[idx], c[idx]], axis=1)
-            out = np.array(out, dtype=np.int64)
-            out[idx] = stacked[np.arange(idx.shape[0]), pick]
-        return np.ascontiguousarray(out)
+            out[idx] = values[samples[idx, pick]]
+        return out
 
     def apply_single(
         self, own_value: int, sampled_values: Sequence[int], rng: np.random.Generator

@@ -83,7 +83,12 @@ class MedianRule(Rule):
         self.validate_samples(values.shape[0], samples)
         vj = values[samples[:, 0]]
         vk = values[samples[:, 1]]
-        return median_of_three(values, vj, vk)
+        del samples   # a caller passing a temporary frees the contacts here
+        # median_of_three, written into the gathered buffers: one new array
+        hi = np.maximum(values, vj)
+        np.minimum(values, vj, out=vj)
+        np.minimum(hi, vk, out=vk)
+        return np.maximum(vj, vk, out=vj)
 
     def apply_single(
         self, own_value: int, sampled_values: Sequence[int], rng: np.random.Generator

@@ -47,6 +47,13 @@ class Rule(abc.ABC):
         (median, minimum, voter...).  The mean rule sets this to False; it is
         the property that makes a rule solve *consensus* rather than mere
         convergence (Section 1.2).
+
+    Thread contract: one rule object serves every run of a batch, and
+    :func:`~repro.engine.batch.run_batch` may run those runs on several
+    threads at once.  :meth:`sample_contacts` and :meth:`apply_vectorized`
+    must therefore keep no mutable per-call state on the rule: everything a
+    call needs comes from its arguments (randomness from ``rng``, which
+    belongs to one run).  Every shipped rule complies.
     """
 
     name: str = "abstract"

@@ -27,12 +27,21 @@ per round and therefore in where they are fast:
 ``batch`` (:func:`repro.engine.batch.run_batch` / :func:`~repro.engine.batch.run_batch_fused` / :func:`~repro.engine.batch.run_batch_fused_occupancy`)
     Monte-Carlo over independent runs.  ``run_batch`` repeats any single-run
     engine (select with ``engine="vectorized" | "occupancy" |
-    "occupancy-fused"``); ``run_batch_fused`` packs R median-rule runs into
-    one (R, n) array program, but it is *slower* than looping the
-    vectorized engine through ``run_batch``: 0.72 s vs 0.40 s at
-    (n=10⁴, m=16, R=64) on a 2-core machine, and 36.5 s vs 5.0 s at
-    (n=10⁵, m=32, R=128) in ``BENCH_batch_fused.json`` — prefer
-    ``run_batch``.  ``run_batch_fused_occupancy``
+    "occupancy-fused"``).  Looped ``vectorized`` runs use every CPU the
+    process may run on once a run's population reaches
+    :data:`~repro.engine.batch.THREADED_MIN_N` (n ≥ 2¹⁵): the runs are
+    shared among threads, and results are bit-identical to one thread.
+    Below the gate a round is too short for NumPy to keep the GIL released,
+    so threads would be slower.  Measured on a 2-core machine (median rule,
+    m=8, R=16, ms per batch, one thread → two): no adversary 75 → 59 at
+    n=2¹⁴ and 246 → 139 at n=2¹⁵; balancing adversary 281 → 330 at
+    n=2¹⁴ and 620 → 432 at n=2¹⁵ (full table at ``THREADED_MIN_N``).
+    ``run_batch_fused`` packs R median-rule runs into one (R, n) array
+    program, but it is *slower* than looping the vectorized engine through
+    ``run_batch``: 0.54 s vs 0.15 s at (n=10⁴, m=16, R=64) and 15.1 s vs
+    2.3 s at (n=10⁵, m=32, R=128) on a 2-core machine (one-thread looped
+    side: 0.19 s and 5.6 s) — prefer ``run_batch``.
+    ``run_batch_fused_occupancy``
     (``engine="occupancy-fused"``) is the count-space analogue: all R runs
     advance as one (R, m) count tensor, each round building a stacked
     (R, m, m) outcome tensor and drawing all R·m multinomials in a single

@@ -8,7 +8,9 @@ batching strategies are provided:
   :func:`repro.engine.occupancy.simulate_occupancy`) over independent seeds.
   Flexible (any rule, any adversary, full result records) but pays the
   per-run Python overhead — which *dominates* for the occupancy engine, whose
-  O(m²) kernel is far cheaper than one interpreter round trip.
+  O(m²) kernel is far cheaper than one interpreter round trip.  Vectorized
+  runs from n ≥ :data:`THREADED_MIN_N` are shared among one thread per
+  available CPU, with results identical to one thread.
 
 * :func:`run_batch_fused` — simulate ``R`` independent *median-rule* runs in
   one array program of shape ``(R, n)``: each round draws an ``(R, n, 2)``
@@ -31,6 +33,8 @@ All three return a :class:`BatchResult` with convergence-round statistics.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -181,6 +185,30 @@ class BatchResult:
         }
 
 
+#: Smallest population at which looped ``vectorized`` runs spread over
+#: threads.  From here on a round spends most of its time in NumPy calls that
+#: release the GIL; below it the threads mostly wait on each other for the
+#: GIL.  Measured on a 2-core machine, median rule, m=8, R=16, balancing
+#: budget ⌊√n/4⌋, one batch (ms, median of 7–11 runs, one thread → two):
+#:
+#:   adversary   n=2048     n=8192     n=16384    n=24576    n=32768
+#:   null        14 → 33    40 → 43    75 → 59    202 → 95   246 → 139
+#:   balancing   97 → 234   212 → 298  281 → 330  414 → 371  620 → 432
+#:
+#: (sticky and random at n=32768: 305 → 238 and 300 → 245).  2¹⁴ would win
+#: without an adversary but lose ~17% with one, so the gate is 2¹⁵.
+THREADED_MIN_N = 2 ** 15
+
+
+def _run_workers(num_runs: int) -> int:
+    """Threads for a looped batch: the CPUs this process may use, ≤ num_runs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, num_runs))
+
+
 def run_batch(
     initial_factory: Callable[[np.random.Generator], Configuration] | Configuration,
     num_runs: int,
@@ -220,6 +248,14 @@ def run_batch(
         count-space form at all (a value-form initial is then required —
         occupancy states cannot be expanded implicitly).
         All are statistically equivalent.
+
+    Looped ``vectorized`` runs of n ≥ :data:`THREADED_MIN_N` run on one
+    thread per CPU in the process's affinity set (at most ``num_runs``).
+    The threads take runs in turn; each run's ``initial_factory`` and
+    ``adversary_factory`` calls still happen once per run, in run order,
+    and results are bit-identical to one thread.  If a run or factory
+    raises, no further run starts and, once every thread has stopped, the
+    exception of the lowest failing run is re-raised.
     """
     if num_runs <= 0:
         raise ValueError("num_runs must be positive")
@@ -257,39 +293,97 @@ def run_batch(
 
     rounds = np.full(num_runs, np.nan)
     converged = np.zeros(num_runs, dtype=bool)
-    results: List[SimulationResult] = []
-    n_ref: Optional[int] = None
+    kept: List[Optional[SimulationResult]] = [None] * num_runs
+    failures: Dict[int, BaseException] = {}
+    lock = threading.Lock()
+    next_run = 0
+    ready: list = []   # a claimed job not yet running
 
-    for i, rng in enumerate(rngs):
-        if isinstance(initial_factory, (Configuration, OccupancyState)):
-            init = initial_factory
-        else:
-            init = initial_factory(rng)
-        if isinstance(init, OccupancyState) and engine == "vectorized":
-            raise ValueError(
-                f"an OccupancyState initial requires an occupancy engine, "
-                f"not {engine!r} (occupancy states cannot be expanded implicitly)"
-            )
-        n_ref = init.n if n_ref is None else n_ref
-        adversary = adversary_factory() if adversary_factory is not None else NullAdversary()
-        res = simulate_fn(
-            init,
-            rule=rule,
-            adversary=adversary,
-            seed=rng,
-            max_rounds=max_rounds,
-            criterion=criterion,
-            record=record,
-        )
-        r = res.convergence_round()
-        if r is not None:
-            rounds[i] = r
-            converged[i] = True
-        if keep_results:
-            results.append(res)
+    def claim():
+        """The next run's ``(index, initial, adversary)``, or None when done.
+
+        Factories are called under the lock, so every run gets its initial
+        state and adversary exactly once and in run order, whichever
+        thread claims it.  A failure stops all further dispatch.
+        """
+        nonlocal next_run
+        with lock:
+            if ready:
+                return ready.pop()
+            if failures or next_run == num_runs:
+                return None
+            i = next_run
+            next_run += 1
+            try:
+                if isinstance(initial_factory, (Configuration, OccupancyState)):
+                    init = initial_factory
+                else:
+                    init = initial_factory(rngs[i])
+                if isinstance(init, OccupancyState) and engine == "vectorized":
+                    raise ValueError(
+                        f"an OccupancyState initial requires an occupancy engine, "
+                        f"not {engine!r} (occupancy states cannot be expanded implicitly)"
+                    )
+                adversary = (adversary_factory() if adversary_factory is not None
+                             else NullAdversary())
+            except BaseException as exc:
+                failures[i] = exc
+                return None
+            return i, init, adversary
+
+    def work() -> None:
+        """Run claimed jobs until none is left; record a failure and stop."""
+        while (job := claim()) is not None:
+            i, init, adversary = job
+            try:
+                res = simulate_fn(
+                    init,
+                    rule=rule,
+                    adversary=adversary,
+                    seed=rngs[i],
+                    max_rounds=max_rounds,
+                    criterion=criterion,
+                    record=record,
+                )
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+                return
+            r = res.convergence_round()
+            if r is not None:
+                rounds[i] = r
+                converged[i] = True
+            if keep_results:
+                kept[i] = res
+            # drop this run's state before the next run's is built
+            del job, init, adversary, res
+
+    # run 0's population decides the thread count: helpers join in only
+    # where a round is long enough for NumPy to keep the GIL released
+    first = claim()
+    n_ref = 0
+    if first is not None:
+        n_ref = first[1].n
+        ready.append(first)
+        del first
+    helpers = []
+    if engine == "vectorized" and n_ref >= THREADED_MIN_N:
+        helpers = [threading.Thread(target=work, name=f"run_batch-{k}",
+                                    daemon=True)
+                   for k in range(1, _run_workers(num_runs))]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    results = [res for res in kept if res is not None]
 
     return BatchResult(
-        n=int(n_ref or 0),
+        n=int(n_ref),
         num_runs=num_runs,
         rounds=rounds,
         converged=converged,

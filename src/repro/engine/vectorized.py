@@ -162,14 +162,21 @@ def simulate(
     recorder = TrajectoryRecorder(level=record)
     recorder.record(values, 0)
 
+    def within_tolerance(values: np.ndarray, at_consensus: bool) -> bool:
+        # at tolerance 0 the criterion *is* consensus: skip minority_count's sort
+        if criterion.tolerance == 0:
+            return at_consensus
+        return minority_count(values) <= criterion.tolerance
+
     consensus_status = ConsensusStatus(reached=False, round=None, value=None)
-    if is_consensus(values):
+    at_consensus = is_consensus(values)
+    if at_consensus:
         consensus_status = ConsensusStatus(reached=True, round=0, value=int(values[0]))
 
     # bookkeeping for almost-stable detection: length of the current trailing
     # streak of rounds satisfying the tolerance, and the first round of the
     # streak that eventually persists to the end of the run.
-    streak = 1 if minority_count(values) <= criterion.tolerance else 0
+    streak = 1 if within_tolerance(values, at_consensus) else 0
     first_stable_round: Optional[int] = 0 if streak else None
 
     rounds_executed = 0
@@ -179,8 +186,9 @@ def simulate(
             values = adversary.corrupt(values, t, admissible, rng)
 
         # --- the protocol round -------------------------------------------
-        samples = rule.sample_contacts(n, rng)
-        new_values = rule.apply_vectorized(values, samples, rng)
+        # the contacts are passed as a temporary, so a rule may free them
+        # as soon as it has gathered the sampled values
+        new_values = rule.apply_vectorized(values, rule.sample_contacts(n, rng), rng)
 
         # --- adversary acting after the random choices (Section 3 variant) -
         if adversary.budget > 0 and adversary.timing is AdversaryTiming.AFTER_SAMPLING:
@@ -191,10 +199,11 @@ def simulate(
         recorder.record(values, t)
 
         # --- consensus bookkeeping -----------------------------------------
-        if not consensus_status.reached and is_consensus(values):
+        at_consensus = is_consensus(values)
+        if not consensus_status.reached and at_consensus:
             consensus_status = ConsensusStatus(reached=True, round=t, value=int(values[0]))
 
-        if minority_count(values) <= criterion.tolerance:
+        if within_tolerance(values, at_consensus):
             if streak == 0:
                 first_stable_round = t
             streak += 1

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.consensus import (
     AlmostStableCriterion,
@@ -12,6 +15,7 @@ from repro.core.consensus import (
     detect_consensus_round,
     is_consensus,
 )
+from repro.core.metrics import minority_count
 from repro.core.state import Configuration
 
 
@@ -27,6 +31,13 @@ class TestIsConsensus:
 
     def test_configuration_input(self):
         assert is_consensus(Configuration.from_values([1, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int64, st.integers(1, 64),
+                      elements=st.integers(-3, 3)))
+    def test_equals_zero_minority(self, values):
+        # the vectorized engine's stop check at tolerance 0 relies on this
+        assert is_consensus(values) == (minority_count(values) <= 0)
 
     def test_consensus_value(self):
         assert consensus_value(np.array([5, 5])) == 5
