@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "protocol against a coordinator URL")
     swp.add_argument("--workers", type=int, default=None,
                      help="worker count for --backend pool/shard/http "
-                          "(default: cpu_count - 1)")
+                          "(default: usable CPUs - 1, at least 1)")
     swp.add_argument("--worker", action="store_true",
                      help="attach this process as one extra shard worker to "
                           "a live store (or, with --coordinator, to a "

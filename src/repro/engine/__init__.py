@@ -93,6 +93,13 @@ per round and therefore in where they are fast:
     protocol semantics, asynchrony, or non-complete communication graphs
     (small n).
 
+Parallelism across *cells* (sweeps) is not an engine concern: the sweep
+backends of :mod:`repro.store.backends` run every cell through
+:func:`repro.experiments.runner.compute_cell`, in this process, a process
+pool, or shard workers.  :func:`~repro.engine.batch.usable_cpus` (the
+process's CPU affinity set) sizes both the threads of a looped batch and the
+default worker count of those backends.
+
 Rule of thumb: protocol semantics → network; n ≤ 10⁷ or exotic
 rules/adversaries → vectorized (batch/fused for distributions); n beyond that
 with modest m → occupancy; convergence-round *distributions* at any n with
@@ -137,6 +144,7 @@ from repro.engine.batch import (
     run_batch,
     run_batch_fused,
     run_batch_fused_occupancy,
+    usable_cpus,
 )
 from repro.engine.occupancy import (
     occupancy_outcome_profiles,
@@ -146,7 +154,6 @@ from repro.engine.occupancy import (
     occupancy_transition_matrix_batch,
     simulate_occupancy,
 )
-from repro.engine.parallel import WorkItem, execute_work_items, recommended_workers
 from repro.engine.rng import (
     KernelInfo,
     MultinomialKernelWarning,
@@ -191,9 +198,7 @@ __all__ = [
     "multinomial_kernel_id",
     "resolve_multinomial_backend",
     "set_multinomial_backend",
-    "WorkItem",
-    "execute_work_items",
-    "recommended_workers",
+    "usable_cpus",
     "RecordLevel",
     "Trajectory",
     "TrajectoryRecorder",

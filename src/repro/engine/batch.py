@@ -76,6 +76,7 @@ __all__ = [
     "ENGINES",
     "BATCH_ENGINES",
     "COUNT_ADVERSARIES",
+    "usable_cpus",
 ]
 
 #: Single-run engines selectable by name (``run_batch(engine=...)``,
@@ -200,13 +201,17 @@ class BatchResult:
 THREADED_MIN_N = 2 ** 15
 
 
-def _run_workers(num_runs: int) -> int:
-    """Threads for a looped batch: the CPUs this process may use, ≤ num_runs."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, at least 1."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:   # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, num_runs))
+        return os.cpu_count() or 1
+
+
+def _run_workers(num_runs: int) -> int:
+    """Threads for a looped batch: the usable CPUs, at most ``num_runs``."""
+    return max(1, min(usable_cpus(), num_runs))
 
 
 def run_batch(

@@ -2,9 +2,14 @@
 
 :func:`run_cell` executes one :class:`~repro.experiments.config.ExperimentConfig`
 (``num_runs`` independent simulations) and returns a
-:class:`~repro.experiments.results.CellResult`; :func:`run_sweep` maps it over
-a :class:`~repro.experiments.config.SweepConfig`, optionally with a process
-pool for the independent cells.
+:class:`~repro.experiments.results.CellResult`.  :func:`compute_cell` is the
+one cell-execution path every backend maps: it runs :func:`run_cell` under
+the sweep's :class:`~repro.robustness.RetryPolicy` inside the ``cell.compute``
+span keyed by the canonical cell hash, and turns a failure into
+:func:`failed_cell_result`.  A backend decides *where* a cell runs (this
+process, a pool worker, a shard worker), never *what* runs.
+:func:`run_sweep` is :class:`repro.store.CachedSweepRunner` over a store that
+holds nothing.
 
 Engine routing is delegated to :func:`repro.engine.batch.run_batch`: cells
 with ``engine="occupancy-fused"`` advance all their runs as one (R, m) count
@@ -15,9 +20,10 @@ the matching representation by
 
 Caching
 -------
-:func:`run_sweep` always recomputes.  For cached, resumable execution wrap a
-sweep in :class:`repro.store.CachedSweepRunner`, which keys each cell by the
-canonical hash of its config (:func:`repro.store.hashing.cell_key`).  The key
+:func:`run_sweep` always recomputes.  For cached, resumable execution run a
+sweep through :class:`repro.store.CachedSweepRunner` over a real store, which
+keys each cell by the canonical hash of its config
+(:func:`repro.store.hashing.cell_key`).  The key
 covers everything that determines the sampled distribution — workload +
 params, rule + params, adversary + budget + params, ``num_runs``,
 ``max_rounds``, ``seed`` — and deliberately excludes ``name`` and ``engine``:
@@ -31,7 +37,7 @@ escape hatches.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,11 +45,6 @@ from repro.adversary.strategies import make_adversary
 from repro.core.rules import get_rule
 from repro.core.state import Configuration
 from repro.engine.batch import fused_occupancy_cell_supported, run_batch
-from repro.engine.parallel import (
-    WorkItem,
-    execute_work_items,
-    format_cell_error,
-)
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult, ExperimentReport
 from repro.experiments.workloads import (
@@ -53,23 +54,30 @@ from repro.experiments.workloads import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.robustness.faults import fault_point
-from repro.robustness.retry import classify_error
+from repro.robustness.retry import (
+    DEFAULT_RETRY_POLICY,
+    Deadline,
+    RetryExhausted,
+    RetryPolicy,
+    call_with_retry,
+    classify_error,
+    format_cell_error,
+)
 
 __all__ = [
     "EXECUTION_STATS",
     "emit_engine_metrics",
     "resolve_cell_engine",
     "run_cell",
+    "compute_cell",
     "run_sweep",
-    "work_item_for_cell",
-    "cell_result_from_pool_summary",
     "failed_cell_result",
     "attach_failures",
 ]
 
 #: Per-process count of in-process cell executions (``run_cell`` calls).
 #: The zero-recompute assertions (warm figure regeneration, offline store
-#: replay) read this to prove no simulation happened; pooled/sharded child
+#: replay) read this to prove no simulation happened; pool/shard worker
 #: processes keep their own counters, which is exactly the right scope for
 #: "this process computed nothing".
 EXECUTION_STATS = {"run_cell_calls": 0}
@@ -83,9 +91,8 @@ def resolve_cell_engine(rule: str, adversary: str, engine: str,
     ``"occupancy-fused"`` cells whose rule/adversary pair has no count-space
     form — or whose support is too wide for count space to win (m² ≫ n,
     e.g. the all-distinct workload where m = n) — fall back to
-    ``"vectorized"``, so every entry point (sweeps, direct :func:`run_cell`,
-    pooled :class:`~repro.engine.parallel.WorkItem` execution) degrades
-    identically *before* a workload is built in the wrong representation.
+    ``"vectorized"``, so every backend degrades identically *before* a
+    workload is built in the wrong representation.
     """
     if engine != "occupancy-fused":
         return engine
@@ -170,22 +177,53 @@ def run_cell(config: ExperimentConfig) -> CellResult:
     )
 
 
-def work_item_for_cell(cell: ExperimentConfig) -> WorkItem:
-    """Translate a cell into the picklable process-pool work description."""
-    return WorkItem(
-        label=cell.name,
-        workload=cell.workload,
-        workload_params=cell.workload_params,
-        rule=cell.rule,
-        rule_params=cell.rule_params,
-        adversary=cell.adversary,
-        adversary_budget=cell.adversary_budget,
-        adversary_params=cell.adversary_params,
-        num_runs=cell.num_runs,
-        seed=cell.seed,
-        max_rounds=cell.max_rounds,
-        engine=cell.engine,
-    )
+def compute_cell(cell: ExperimentConfig, key: str,
+                 retry: RetryPolicy = DEFAULT_RETRY_POLICY,
+                 deadline: Optional[Deadline] = None, *,
+                 run: Optional[Callable[[ExperimentConfig], CellResult]] = None,
+                 prior_attempts: int = 0,
+                 **span_attrs: Any) -> Tuple[CellResult, int]:
+    """Compute one cell under ``retry``: the cell-execution path of every backend.
+
+    Runs ``run`` (default :func:`run_cell`) through
+    :func:`~repro.robustness.retry.call_with_retry` inside the
+    ``cell.compute`` span keyed by ``key``, the canonical cell hash, so the
+    same cell shares one span id in every process, on every backend and
+    across reruns (``span_attrs``, e.g. ``backend`` or ``worker``, are
+    recorded on the span but never enter its id).  ``prior_attempts`` are
+    attempts an earlier run already spent on the cell.  Everything ``run``
+    does is retried together, so a backend that persists inside ``run``
+    re-runs the cell when the write fails.
+
+    Returns ``(result, attempts)``.  A cell that raised comes back as
+    :func:`failed_cell_result` carrying ``attempts`` and ``kind``; this
+    function never raises for a per-cell failure.
+    """
+    attempts = prior_attempts
+
+    def attempt() -> CellResult:
+        nonlocal attempts
+        attempts += 1
+        return (run or run_cell)(cell)
+
+    with obs_trace.span("cell.compute", key=key, cell=key,
+                        cell_label=cell.name, **span_attrs) as cell_span:
+        try:
+            result = call_with_retry(attempt, retry, label=cell.name,
+                                     deadline=deadline,
+                                     prior_attempts=prior_attempts, key=key)
+        except Exception as exc:   # noqa: BLE001 — per-cell isolation
+            # RetryExhausted carries the last attempt's error; the kind
+            # follows from the error's type (SweepDeadlineError is transient)
+            error = (exc.error if isinstance(exc, RetryExhausted)
+                     else format_cell_error(exc))
+            result = failed_cell_result(cell, error, attempts=attempts)
+        if result.extra.get("failed"):
+            cell_span.set(outcome="failed", attempts=attempts,
+                          kind=result.extra["kind"])
+        else:
+            cell_span.set(outcome="computed", attempts=attempts)
+    return result, attempts
 
 
 def failed_cell_result(cell: ExperimentConfig, error: str,
@@ -196,7 +234,7 @@ def failed_cell_result(cell: ExperimentConfig, error: str,
     The metrics use ``inf`` (the existing "did not converge" value — and,
     unlike NaN, equal to itself) so failure-carrying reports compare equal
     across backends; the error string (exception type + message, see
-    :func:`repro.engine.parallel.format_cell_error`) rides in ``extra``
+    :func:`repro.robustness.retry.format_cell_error`) rides in ``extra``
     together with the attempt count and the failure *kind* —
     ``"permanent"`` (a deterministic error, never retried) or
     ``"transient-exhausted"`` (a transient error that survived every
@@ -239,37 +277,13 @@ def attach_failures(report: ExperimentReport) -> List[Dict[str, Any]]:
     return failures
 
 
-def cell_result_from_pool_summary(cell: ExperimentConfig,
-                                  summary: Dict[str, Any]) -> CellResult:
-    """Build a :class:`CellResult` from a pooled worker's flat summary.
-
-    Summaries carry the per-run rounds and the resolved engine, so the
-    result is identical to what a serial :func:`run_cell` produces for the
-    same cell — the property that keeps reports (and store payloads) equal
-    regardless of which execution backend computed them.  An error summary
-    (``{"label", "error"}``, from a cell that raised in its worker) becomes
-    the canonical :func:`failed_cell_result`.
-    """
-    if "error" in summary:
-        return failed_cell_result(cell, str(summary["error"]))
-    extra: Dict[str, Any] = {"rule": cell.rule, "adversary": cell.adversary}
-    if "engine" in summary:
-        extra["engine"] = summary["engine"]
-    return CellResult(
-        config=cell,
-        num_runs=int(summary["num_runs"]),
-        convergence_fraction=float(summary["convergence_fraction"]),
-        mean_rounds=float(summary["mean_rounds"]),
-        median_rounds=float(summary["median_rounds"]),
-        p90_rounds=float(summary["p90_rounds"]),
-        max_rounds=float(summary["max_rounds"]),
-        rounds=[float(r) for r in summary.get("rounds", [])],
-        extra=extra,
-    )
-
-
 def run_sweep(sweep: SweepConfig, max_workers: Optional[int] = 0) -> ExperimentReport:
-    """Execute every cell of a sweep.
+    """Execute every cell of a sweep, recomputing all of them.
+
+    This is :class:`repro.store.CachedSweepRunner` over a store that holds
+    nothing (every cell is a miss, nothing is written), so it shares the
+    backends' per-cell failure handling; the report carries no ``store``
+    meta entry.
 
     Parameters
     ----------
@@ -277,33 +291,20 @@ def run_sweep(sweep: SweepConfig, max_workers: Optional[int] = 0) -> ExperimentR
         The sweep definition.
     max_workers:
         ``0``/``1`` → serial in-process execution (default; deterministic and
-        test-friendly); ``None`` or >1 → a process pool over cells using
-        :mod:`repro.engine.parallel`.
+        test-friendly); ``None`` or >1 → a process pool over cells.
 
     Returns
     -------
     ExperimentReport
-        A cell that raises during execution is *not* fatal on either path: it
-        becomes a :func:`failed_cell_result` in its sweep position and is
-        listed in ``report.meta["failures"]`` (label + error), so a poisoned
-        cell can never abort a sweep or silently vanish from its report.
+        A cell that raises during execution is *not* fatal: it becomes a
+        :func:`failed_cell_result` in its sweep position and is listed in
+        ``report.meta["failures"]``, so a poisoned cell can never abort a
+        sweep or silently vanish from its report.
     """
-    report = ExperimentReport(name=sweep.name, description=sweep.description)
+    # imported here: repro.store builds on this module
+    from repro.store.runner import CachedSweepRunner
+    from repro.store.store import NullStore
 
-    if max_workers in (0, 1):
-        for cell in sweep:
-            try:
-                report.add(run_cell(cell))
-            except Exception as exc:   # noqa: BLE001 — per-cell isolation
-                report.add(failed_cell_result(cell, format_cell_error(exc)))
-        attach_failures(report)
-        return report
-
-    # Parallel path: translate cells to picklable WorkItems; summaries carry
-    # per-run rounds, so pooled reports equal serial ones cell for cell.
-    items = [work_item_for_cell(cell) for cell in sweep]
-    summaries = execute_work_items(items, max_workers=max_workers)
-    for cell, summary in zip(sweep, summaries):
-        report.add(cell_result_from_pool_summary(cell, summary))
-    attach_failures(report)
+    report = CachedSweepRunner(NullStore(), max_workers=max_workers).run(sweep)
+    del report.meta["store"]
     return report

@@ -48,6 +48,7 @@ from .retry import (
     SweepDeadlineError,
     call_with_retry,
     classify_error,
+    format_cell_error,
 )
 
 __all__ = [
@@ -59,7 +60,7 @@ __all__ = [
     # retry
     "DEFAULT_RETRY_POLICY", "PERMANENT_ERROR_TYPES", "Deadline",
     "RetryExhausted", "RetryPolicy", "SweepDeadlineError", "call_with_retry",
-    "classify_error",
+    "classify_error", "format_cell_error",
     # degradation warnings
     "DegradedExecutionWarning", "StoreIntegrityWarning", "TornLogWarning",
 ]

@@ -10,12 +10,13 @@ failed" obeys the same three knobs:
   shard backend persists attempt counts in the marker, so budgets survive
   worker restarts);
 * **jittered exponential backoff** (``base_delay_s``/``max_delay_s``/
-  ``jitter``) — deterministic per ``(label, attempt)``, so two workers
+  ``jitter``) — deterministic per ``(cell key, attempt)``, so two workers
   retrying the same cell do not thunder in lockstep yet a chaos run
   reproduces exactly from its seed;
 * **per-sweep deadline** (``deadline_s``) — a wall-clock budget for the
-  entire sweep; when it expires, remaining retries are abandoned and the
-  affected cells surface as ordinary failures rather than hanging a fleet.
+  entire sweep, checked before every attempt; when it expires, no further
+  attempt starts and the affected cells surface as ordinary failures
+  rather than hanging a fleet.
 
 Errors are classified by *type name* (:func:`classify_error`): programming
 and configuration errors (``KeyError: no-such-rule`` …) are **permanent**
@@ -46,6 +47,7 @@ __all__ = [
     "SweepDeadlineError",
     "Deadline",
     "call_with_retry",
+    "format_cell_error",
     "emit_retry_telemetry",
 ]
 
@@ -59,6 +61,16 @@ PERMANENT_ERROR_TYPES: Tuple[str, ...] = (
     "NotImplementedError",
     "AssertionError",
 )
+
+
+def format_cell_error(exc: BaseException) -> str:
+    """The canonical per-cell failure string: exception type + message.
+
+    Deliberately excludes the traceback, which differs between in-process and
+    worker-process execution — the same poisoned cell must produce the same
+    string on every backend so failure-carrying reports stay backend-equal.
+    """
+    return f"{type(exc).__name__}: {exc}"
 
 
 def classify_error(error: "str | BaseException") -> str:
@@ -197,30 +209,36 @@ def call_with_retry(fn: Callable[[], Any], policy: RetryPolicy,
                     key: Optional[str] = None) -> Any:
     """Run ``fn`` under ``policy``, retrying transient errors.
 
-    ``prior_attempts`` charges attempts already spent on this label (e.g.
+    ``prior_attempts`` charges attempts already spent on this cell (e.g.
     recorded in a ``state:"failed"`` marker by an earlier run) against the
     budget.  Permanent errors re-raise immediately; a transient error on
     the final allowed attempt raises :class:`RetryExhausted` carrying the
-    formatted error and the total attempt count.  ``key`` is the cell's
-    canonical store hash, attached to retry trace events (telemetry only —
-    it does not affect the schedule, which is keyed on ``label``).
+    formatted error and the total attempt count.  The deadline is checked
+    before every attempt: expired before the first one, it raises
+    :class:`SweepDeadlineError`; expired after a failed attempt, the last
+    error stands as :class:`RetryExhausted`.  ``key`` is the cell's
+    canonical store hash: it seeds the backoff jitter (so a cell backs off
+    identically on every backend) and tags the retry trace events.
     """
     attempt = prior_attempts
+    error: Optional[str] = None
     while True:
-        if deadline is not None:
-            deadline.check(label or "cell")
+        if deadline is not None and deadline.expired():
+            if error is None:
+                deadline.check(label or "cell")
+            raise RetryExhausted(label or "cell", error, attempt)
         attempt += 1
         try:
             return fn()
         except SweepDeadlineError:
             raise
         except Exception as exc:   # noqa: BLE001 — classification decides
-            error = f"{type(exc).__name__}: {exc}"
+            error = format_cell_error(exc)
             if classify_error(exc) == "permanent":
                 raise
             if attempt >= policy.max_attempts:
                 raise RetryExhausted(label or "cell", error, attempt) from exc
-            delay = policy.backoff_s(attempt, token=label)
+            delay = policy.backoff_s(attempt, token=key or label)
             if deadline is not None:
                 rem = deadline.remaining()
                 if rem is not None:

@@ -5,13 +5,13 @@ hits and misses; *how* the misses execute is delegated to an
 :class:`ExecutionBackend`:
 
 ``serial`` (:class:`SerialBackend`)
-    In-process :func:`~repro.experiments.runner.run_cell`, one cell at a
-    time.  Deterministic and test-friendly; each cell is persisted the
-    moment it completes.
+    In-process, one cell at a time.  Deterministic and test-friendly; each
+    cell is persisted the moment it completes.
 
 ``pool`` (:class:`PoolBackend`)
-    The :mod:`repro.engine.parallel` process pool: misses become picklable
-    WorkItems, results are consumed (and persisted) in completion order.
+    A ``ProcessPoolExecutor``: each miss is submitted as its picklable
+    config plus store key, results are consumed (and persisted) in
+    completion order.
 
 ``shard`` (:class:`~repro.store.shard.ShardBackend`)
     Multi-worker *sharded* execution: independent worker processes lease
@@ -30,42 +30,67 @@ hits and misses; *how* the misses execute is delegated to an
     than going through the by-name table.  See
     :mod:`repro.store.coordinator`.
 
-Every backend has the same contract: execute the missing cells of a sweep,
-persist each one through the runner as it completes, and return the fresh
-results by sweep position.  A cell that raises is returned as the canonical
-:func:`~repro.experiments.runner.failed_cell_result` (and is *not*
-persisted), so a poisoned cell surfaces per-cell in the report instead of
-aborting the sweep or silently vanishing — identically on every backend.
+Every backend runs the same task function,
+:func:`~repro.experiments.runner.compute_cell` (``run_cell`` under the
+sweep's retry policy, in the ``cell.compute`` span keyed by the cell hash);
+a backend decides only *where* it runs.  The contract: execute the missing
+cells of a sweep, persist each one through the runner as it completes, and
+return the fresh results by sweep position.  A cell that raises is returned
+as the canonical :func:`~repro.experiments.runner.failed_cell_result` (and
+is *not* persisted), so a poisoned cell surfaces per-cell in the report
+instead of aborting the sweep or silently vanishing — identically on every
+backend.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Union
+import warnings
+from functools import partial
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol,
+                    Tuple, Union)
 
-from repro.engine.parallel import format_cell_error, iter_work_item_results
-from repro.experiments.config import SweepConfig
+from repro.engine.batch import usable_cpus
+from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
-from repro.experiments.runner import (
-    failed_cell_result,
-    run_cell,
-    work_item_for_cell,
-    cell_result_from_pool_summary,
-)
+from repro.experiments.runner import compute_cell, run_cell
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.robustness.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryExhausted,
-    SweepDeadlineError,
-    call_with_retry,
-)
+from repro.robustness import DegradedExecutionWarning
+from repro.robustness.faults import fault_point, mark_worker_process
+from repro.robustness.retry import DEFAULT_RETRY_POLICY
 
 if TYPE_CHECKING:   # pragma: no cover — typing only, avoids an import cycle
     from repro.store.runner import CachedSweepRunner
 
 __all__ = ["ExecutionBackend", "SerialBackend", "PoolBackend",
-           "resolve_backend", "BACKEND_NAMES"]
+           "resolve_backend", "recommended_workers", "BACKEND_NAMES"]
+
+
+def recommended_workers() -> int:
+    """Default worker-process count: usable CPUs minus one, at least 1."""
+    return max(1, usable_cpus() - 1)
+
+
+def _run_and_persist(cell: ExperimentConfig,
+                     runner: "CachedSweepRunner") -> CellResult:
+    """Compute and persist one cell: the serial backend's retried step.
+
+    A failed write (beyond the unwritable-store degradation
+    ``persist_fresh`` already absorbs) re-runs the whole cell, like the shard
+    protocol's payload-exists-means-done recovery.  ``run_cell`` is called by
+    this module's name, so wrapping ``repro.store.backends.run_cell`` reaches
+    every cell computed in the coordinating process.
+    """
+    t0 = time.perf_counter()
+    result = run_cell(cell)
+    runner.persist_fresh(cell, result, elapsed=time.perf_counter() - t0)
+    return result
+
+
+def _count_outcome(result: CellResult) -> None:
+    obs_metrics.count("cells.failed" if result.extra.get("failed")
+                      else "cells.computed")
 
 
 class ExecutionBackend(Protocol):
@@ -100,61 +125,31 @@ class SerialBackend:
                 runner: "CachedSweepRunner") -> Dict[int, CellResult]:
         retry = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
         deadline = getattr(runner, "_deadline", None)
+        run = partial(_run_and_persist, runner=runner)
         fresh: Dict[int, CellResult] = {}
         for i in misses:
             cell = sweep.cells[i]
-            key = runner.store.key_for(cell)
-
-            def compute_and_persist(cell=cell):
-                t0 = time.perf_counter()
-                result = run_cell(cell)
-                # persisting inside the retried step means a failed write
-                # (beyond the unwritable-store degradation persist_fresh
-                # already absorbs) re-runs the whole cell, exactly like the
-                # shard protocol's payload-exists-means-done recovery
-                runner.persist_fresh(cell, result,
-                                     elapsed=time.perf_counter() - t0)
-                return result
-
             t_cell = time.perf_counter()
-            # span identity is the canonical cell hash, so a rerun of the
-            # same cell — any process, any backend — shares its span id
-            with obs_trace.span("cell.compute", key=key, cell=key,
-                                cell_label=cell.name,
-                                backend=self.name) as cell_span:
-                try:
-                    fresh[i] = call_with_retry(compute_and_persist, retry,
-                                               label=cell.name,
-                                               deadline=deadline, key=key)
-                    cell_span.set(outcome="computed")
-                    obs_metrics.count("cells.computed")
-                    obs_metrics.observe("cell.elapsed_s",
-                                        time.perf_counter() - t_cell)
-                except RetryExhausted as exc:
-                    fresh[i] = failed_cell_result(cell, exc.error,
-                                                  attempts=exc.attempts,
-                                                  kind="transient-exhausted")
-                    cell_span.set(outcome="failed", attempts=exc.attempts)
-                    obs_metrics.count("cells.failed")
-                except SweepDeadlineError as exc:
-                    fresh[i] = failed_cell_result(
-                        cell, f"SweepDeadlineError: {exc}", attempts=0,
-                        kind="transient-exhausted")
-                    cell_span.set(outcome="deadline")
-                    obs_metrics.count("cells.failed")
-                except Exception as exc:   # noqa: BLE001 — per-cell isolation
-                    fresh[i] = failed_cell_result(cell, format_cell_error(exc))
-                    cell_span.set(outcome="failed")
-                    obs_metrics.count("cells.failed")
+            fresh[i], _ = compute_cell(cell, runner.store.key_for(cell),
+                                       retry, deadline, run=run,
+                                       backend=self.name)
+            _count_outcome(fresh[i])
+            if not fresh[i].extra.get("failed"):
+                obs_metrics.observe("cell.elapsed_s",
+                                    time.perf_counter() - t_cell)
         return fresh
 
 
 class PoolBackend:
-    """Execute misses on the :mod:`repro.engine.parallel` process pool.
+    """Execute misses on a process pool.
 
+    Every miss is submitted as :func:`~repro.experiments.runner.compute_cell`
+    with the picklable cell config, its store key, the retry policy and the
+    sweep deadline, so workers retry exactly like the serial backend.
     Results are consumed in completion order, so each cell is persisted the
-    moment its worker finishes — the interrupt-resume property — and a cell
-    that raises in its worker comes back as an error summary, not an abort.
+    moment its worker finishes — the interrupt-resume property.  A pool that
+    cannot start or breaks mid-sweep degrades to serial execution of the
+    cells not yet consumed.
     """
 
     name = "pool"
@@ -164,51 +159,73 @@ class PoolBackend:
 
     def execute(self, sweep: SweepConfig, misses: List[int],
                 runner: "CachedSweepRunner") -> Dict[int, CellResult]:
-        retry = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
-        deadline = getattr(runner, "_deadline", None)
         fresh: Dict[int, CellResult] = {}
-        items = [work_item_for_cell(sweep.cells[i]) for i in misses]
-        for idx, summary in iter_work_item_results(
-                items, max_workers=self.max_workers):
-            i = misses[idx]
-            cell = sweep.cells[i]
-            key = runner.store.key_for(cell)
-            result = cell_result_from_pool_summary(cell, summary)
-            if (result.extra.get("failed")
-                    and result.extra.get("kind") != "permanent"
-                    and retry.max_attempts > 1):
-                # transient pool failure with budget left: attempts 2..N run
-                # serially in this process (the pool already charged one)
-                result = self._retry_in_process(cell, result, runner, retry,
-                                                deadline, key=key)
-            # the coordinating process does the counting for the pool: its
-            # workers only traced the compute span (they have no store key,
-            # and counting there too would double-book every cell)
+        for i, result in self._completed(sweep, misses, runner):
+            # the coordinating process does the counting for the pool:
+            # a result lost with a broken worker is recomputed, not
+            # double-booked
             if not result.extra.get("failed"):
-                runner.persist_fresh(cell, result, elapsed=None)
-                obs_metrics.count("cells.computed")
-            else:
-                obs_metrics.count("cells.failed")
+                runner.persist_fresh(sweep.cells[i], result, elapsed=None)
+            _count_outcome(result)
             fresh[i] = result
         return fresh
 
-    @staticmethod
-    def _retry_in_process(cell, failed: CellResult, runner, retry,
-                          deadline, key=None) -> CellResult:
-        def compute(cell=cell):
-            return run_cell(cell)
+    def _completed(self, sweep: SweepConfig, misses: List[int],
+                   runner: "CachedSweepRunner"
+                   ) -> Iterator[Tuple[int, CellResult]]:
+        """Yield ``(position, result)`` for every miss in completion order."""
+        retry = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
+        deadline = getattr(runner, "_deadline", None)
+        keys = {i: runner.store.key_for(sweep.cells[i]) for i in misses}
+        workers = recommended_workers() if self.max_workers is None \
+            else int(self.max_workers)
+        done: set = set()
+        if workers > 1 and len(misses) > 1:
+            # imported here: the CLI never pays for the process-pool
+            # machinery unless a pool actually runs
+            from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        try:
-            return call_with_retry(compute, retry, label=cell.name,
-                                   deadline=deadline, prior_attempts=1,
-                                   key=key)
-        except RetryExhausted as exc:
-            return failed_cell_result(cell, exc.error, attempts=exc.attempts,
-                                      kind="transient-exhausted")
-        except SweepDeadlineError:
-            return failed   # out of time: the pool attempt's record stands
-        except Exception as exc:   # noqa: BLE001 — per-cell isolation
-            return failed_cell_result(cell, format_cell_error(exc))
+            try:
+                fault_point("subprocess.spawn", backend=self.name)
+                with ProcessPoolExecutor(max_workers=workers,
+                                         initializer=mark_worker_process
+                                         ) as pool:
+                    # workers run repro.experiments.runner.run_cell; the
+                    # Deadline pickles with its monotonic expiry, a
+                    # system-wide clock, so queued cells see the true end
+                    futures = {pool.submit(compute_cell, sweep.cells[i],
+                                           keys[i], retry, deadline,
+                                           backend=self.name): i
+                               for i in misses}
+                    for future in as_completed(futures):
+                        i = futures[future]
+                        # result first: a future poisoned by a dead worker
+                        # raises here, and its cell must stay not-done so
+                        # the serial rung still computes it
+                        result, _ = future.result()
+                        done.add(i)
+                        yield i, result
+                return
+            except (OSError, ValueError, RuntimeError) as exc:
+                # degradation ladder: a pool that cannot start (sandbox) or
+                # that broke mid-sweep (a SIGKILLed worker →
+                # BrokenProcessPool, a RuntimeError subclass) falls back to
+                # serial execution of whatever was not already yielded — no
+                # cell is lost or re-run
+                message = (f"process pool unavailable "
+                           f"({type(exc).__name__}: {exc}); "
+                           f"completing the sweep serially in-process")
+                warnings.warn(message, DegradedExecutionWarning, stacklevel=2)
+                obs_trace.warning_event("DegradedExecutionWarning", message,
+                                        rung="pool-to-serial")
+                obs_metrics.count("degraded", rung="pool-to-serial")
+        for i in misses:
+            if i not in done:
+                # the serial rung runs this module's run_cell, like
+                # SerialBackend (persisting stays with execute)
+                yield i, compute_cell(sweep.cells[i], keys[i], retry,
+                                      deadline, run=run_cell,
+                                      backend=self.name)[0]
 
 
 #: CLI-facing backend names (see :func:`resolve_backend`).
@@ -223,7 +240,7 @@ def resolve_backend(backend: Union[str, ExecutionBackend, None],
     ``None`` keeps the historical ``max_workers`` convention of
     :func:`~repro.experiments.runner.run_sweep`: ``0``/``1`` → serial,
     ``None``/>1 → pool.  For ``"shard"``, ``max_workers`` is the number of
-    worker processes (``None`` → :func:`~repro.engine.parallel.recommended_workers`,
+    worker processes (``None`` → :func:`recommended_workers`,
     ``0`` → run the worker loop in the calling process — the ``--worker``
     attach mode).  ``"http"`` additionally needs ``coordinator`` (the
     coordinator URL); ``max_workers`` follows the shard convention.

@@ -64,7 +64,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.engine.parallel import recommended_workers
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
 from repro.io.serialization import from_jsonable, to_jsonable
@@ -78,6 +77,7 @@ from repro.robustness.retry import (
     Deadline,
     RetryPolicy,
 )
+from repro.store.backends import recommended_workers
 from repro.store.hashing import cell_key
 from repro.store.shard import (
     DEFAULT_POLL_INTERVAL,
@@ -608,7 +608,7 @@ class HttpBackend:
     """The ``http`` execution backend: a worker fleet over a coordinator.
 
     Mirrors :class:`~repro.store.shard.ShardBackend` — ``workers=None`` →
-    :func:`~repro.engine.parallel.recommended_workers` child processes,
+    :func:`~repro.store.backends.recommended_workers` child processes,
     ``0`` → the calling process runs the worker loop itself (the CLI
     ``--worker --coordinator URL`` attach mode), K ≥ 1 → K children plus an
     in-process mop-up pass — except every store and lease operation travels

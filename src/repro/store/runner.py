@@ -1,7 +1,7 @@
 """Cache-aware, resumable sweep execution on top of a :class:`ResultStore`.
 
-:class:`CachedSweepRunner` wraps :func:`repro.experiments.runner.run_sweep`
-semantics with a hit/miss partition:
+:class:`CachedSweepRunner` is the one sweep driver; it runs a sweep with a
+hit/miss partition:
 
 1. every cell of the sweep is hashed (:func:`repro.store.hashing.cell_key` —
    engine- and label-independent);
@@ -9,11 +9,12 @@ semantics with a hit/miss partition:
    executed;
 3. the remaining *misses* run through a pluggable
    :class:`~repro.store.backends.ExecutionBackend` — in-process ``serial``,
-   the ``pool`` of :mod:`repro.engine.parallel` WorkItems, or the multi-
-   process ``shard`` backend of :mod:`repro.store.shard` where independent
-   workers lease cells straight from the store.  Every backend persists each
-   finished cell the moment it completes, so a sweep killed halfway resumes
-   from the already-completed cells instead of restarting;
+   a process ``pool``, or the multi-process ``shard`` backend of
+   :mod:`repro.store.shard` where independent workers lease cells straight
+   from the store.  Every backend computes a cell with
+   :func:`~repro.experiments.runner.compute_cell` and persists each finished
+   cell the moment it completes, so a sweep killed halfway resumes from the
+   already-completed cells instead of restarting;
 4. the final :class:`~repro.experiments.results.ExperimentReport` is
    assembled in sweep order from cached + fresh results.  A cell that raised
    is included as the canonical failure record and listed in
@@ -29,7 +30,9 @@ deliberately kept out of ``report.meta`` for the same reason — read them from
 ``offline=True`` turns the runner into a zero-recompute replayer: a miss
 raises :class:`StoreMissError` instead of executing, which is how warm
 figure/table regeneration proves it simulated nothing (see
-``repro-consensus sweep --from-store``).
+``repro-consensus sweep --from-store``).  Over a
+:class:`~repro.store.store.NullStore` it is the plain recompute-everything
+driver behind :func:`repro.experiments.runner.run_sweep`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.robustness import DegradedExecutionWarning
 from repro.robustness.retry import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
 from repro.store.artifacts import build_provenance
 from repro.store.backends import ExecutionBackend, resolve_backend
-from repro.store.store import ResultStore, StoreRecord
+from repro.store.store import NullStore, ResultStore, StoreRecord
 
 __all__ = ["CacheStats", "CachedSweepRunner", "StoreMissError",
            "run_sweep_cached"]
@@ -206,11 +209,13 @@ class CachedSweepRunner:
         # the sweep span is the root of the whole fleet's trace: worker
         # processes spawned while it is open parent their spans under it
         with obs_trace.span("sweep", key=sweep.name, sweep=sweep.name,
-                            cells=len(sweep.cells), offline=self.offline,
-                            kernel=_kernel_id()) as sweep_span:
+                            cells=len(sweep.cells), offline=self.offline
+                            ) as sweep_span:
             hits, misses = self.partition(sweep)
             self.last_stats = CacheStats(hits=len(hits), misses=len(misses))
             if obs_trace.enabled():
+                # resolving the kernel may build or load it: traced runs only
+                sweep_span.set(kernel=_kernel_id())
                 if hits:
                     obs_metrics.count("cache.hits", len(hits))
                 if misses:
@@ -261,8 +266,12 @@ class CachedSweepRunner:
         writable the computed result is still returned to the report — it
         just is not cached.  One :class:`DegradedExecutionWarning` is
         emitted per runner, and the key is *not* counted as executed-and-
-        stored in :attr:`last_stats.executed`.
+        stored in :attr:`last_stats.executed`.  Over a :class:`NullStore`
+        nothing is kept, so no provenance is built (it resolves the kernel
+        and runs git).
         """
+        if isinstance(self.store, NullStore):
+            return self.store.key_for(cell)
         try:
             key = self._persist(cell, result, elapsed)
         except OSError as exc:

@@ -53,8 +53,8 @@ Lease lifecycle:
   the cell then goes back to pending and the normal ``O_CREAT | O_EXCL``
   acquire decides the new owner.
 
-Cells are executed by :func:`~repro.experiments.runner.run_cell` (full
-per-run rounds) and persisted with the same provenance as serial cached
+Cells are executed by :func:`~repro.experiments.runner.compute_cell` (full
+per-run rounds, the same retry path as every backend) and persisted with the same provenance as serial cached
 execution plus the worker identity, so a report assembled from a sharded run
 equals a cold serial run of the same sweep.
 
@@ -77,10 +77,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.parallel import format_cell_error, recommended_workers
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
-from repro.experiments.runner import failed_cell_result, run_cell
+from repro.experiments.runner import compute_cell, failed_cell_result, run_cell
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.robustness import DegradedExecutionWarning, TornLogWarning
@@ -95,9 +94,9 @@ from repro.robustness.retry import (
     Deadline,
     RetryPolicy,
     classify_error,
-    emit_retry_telemetry,
 )
 from repro.store.artifacts import build_provenance
+from repro.store.backends import recommended_workers
 from repro.store.runner import _kernel_id
 from repro.store.store import ResultStore
 
@@ -690,43 +689,20 @@ class ShardWorker:
         execution ledger.
         """
         t0 = time.perf_counter()
-        attempts = prior_attempts
-        # keyed by the canonical cell hash: if this worker dies and another
-        # recomputes the cell, both instances share one deterministic span id
-        with obs_trace.span("cell.compute", key=key, cell=key,
-                            cell_label=cell.name, backend=self.backend_label,
-                            worker=self.leases.worker) as cell_span:
-            while True:
-                attempts += 1
-                try:
-                    result = run_cell(cell)
-                    break
-                except Exception as exc:   # noqa: BLE001 — per-cell isolation
-                    error = format_cell_error(exc)
-                    kind = classify_error(exc)
-                    out_of_time = (self.deadline is not None
-                                   and self.deadline.expired())
-                    if kind == "permanent" \
-                            or attempts >= self.retry.max_attempts \
-                            or out_of_time:
-                        final = ("permanent" if kind == "permanent"
-                                 else "transient-exhausted")
-                        self.leases.mark_failed(key, cell.name, error,
-                                                attempts=attempts, kind=final)
-                        cell_span.set(outcome="failed", attempts=attempts,
-                                      kind=final)
-                        # counted at the one site that records the failure,
-                        # so markers read back by other workers don't double-
-                        # book the same failed cell
-                        obs_metrics.count("cells.failed")
-                        return failed_cell_result(cell, error,
-                                                  attempts=attempts,
-                                                  kind=final)
-                    delay = self.retry.backoff_s(attempts, token=key)
-                    emit_retry_telemetry(cell.name, key, attempts, delay,
-                                         error)
-                    time.sleep(delay)
-            cell_span.set(outcome="computed", attempts=attempts)
+        # run_cell by this module's name, so wrapping
+        # repro.store.shard.run_cell reaches every cell a shard worker runs
+        result, attempts = compute_cell(
+            cell, key, self.retry, self.deadline, run=run_cell,
+            prior_attempts=prior_attempts, backend=self.backend_label,
+            worker=self.leases.worker)
+        if result.extra.get("failed"):
+            self.leases.mark_failed(key, cell.name, result.extra["error"],
+                                    attempts=attempts,
+                                    kind=result.extra["kind"])
+            # counted at the one site that records the failure, so markers
+            # read back by other workers don't double-book the same cell
+            obs_metrics.count("cells.failed")
+            return result
         provenance = build_provenance(extra={
             "seed": cell.seed,
             "engine": result.extra.get("engine", cell.engine),
@@ -767,7 +743,7 @@ class ShardBackend:
     """The ``shard`` execution backend: coordinate K worker processes.
 
     ``workers`` follows :func:`repro.store.backends.resolve_backend`:
-    ``None`` → :func:`~repro.engine.parallel.recommended_workers`, ``0`` →
+    ``None`` → :func:`~repro.store.backends.recommended_workers`, ``0`` →
     no child processes (the calling process runs the worker loop itself —
     the CLI ``--worker`` attach mode), K ≥ 1 → K children plus a final
     in-process mop-up pass that also assembles the results (and transparently

@@ -80,7 +80,7 @@ from repro.robustness import StoreIntegrityWarning
 from repro.robustness.faults import fault_point
 from repro.store.hashing import cell_key, short_key
 
-__all__ = ["STORE_SCHEMA_VERSION", "StoreRecord", "ResultStore"]
+__all__ = ["STORE_SCHEMA_VERSION", "StoreRecord", "ResultStore", "NullStore"]
 
 #: Version of the on-disk payload record format.  Bump on incompatible
 #: changes; ``get`` treats records with a different version as misses and
@@ -561,3 +561,23 @@ class ResultStore:
                 f"{name}={value:g}"
                 for name, value in sorted(merged.counters.items())) or "none",
         }
+
+
+class NullStore:
+    """A store that holds nothing: every read misses, every write is dropped.
+
+    :func:`repro.experiments.runner.run_sweep` runs
+    :class:`~repro.store.runner.CachedSweepRunner` over it, so a plain
+    recompute-everything sweep goes through the same backends as a cached
+    one.
+    """
+
+    root = Path(os.devnull)
+    key_for = staticmethod(cell_key)
+
+    def get(self, config_or_key: ExperimentConfig | str) -> None:
+        return None
+
+    def put(self, config: ExperimentConfig, result: CellResult,
+            provenance: Optional[Dict[str, Any]] = None) -> str:
+        return self.key_for(config)

@@ -1,103 +1,97 @@
-"""Tests for repro.engine.parallel: work items and pooled execution."""
+"""Pooled and serial cell execution through ``run_sweep``.
+
+Every backend runs a cell through ``compute_cell``; ``run_sweep`` with
+``max_workers=0`` is the serial path and ``max_workers=2`` the process
+pool.  These tests pin that both give complete, ordered, equal reports,
+and that a raising cell becomes a failure record in its own slot.
+"""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.engine.parallel import WorkItem, execute_work_items, recommended_workers
+from repro.experiments.config import ExperimentConfig, SweepConfig
+from repro.experiments.runner import run_sweep
 
 
-def _item(label: str, n: int = 64, seed: int = 1, **kwargs) -> WorkItem:
+def _cell(name: str, n: int = 64, seed: int = 1, **kwargs) -> ExperimentConfig:
     defaults = dict(
-        label=label,
+        name=name,
         workload="all-distinct",
         workload_params={"n": n},
         num_runs=3,
         seed=seed,
     )
     defaults.update(kwargs)
-    return WorkItem(**defaults)
+    return ExperimentConfig(**defaults)
 
 
-class TestWorkItem:
-    def test_hashable(self):
-        assert hash(_item("a")) != 0 or True   # hash computed without error
-        assert {_item("a"), _item("a")} is not None
-
-    def test_defaults(self):
-        item = _item("x")
-        assert item.rule == "median"
-        assert item.adversary == "null"
-        assert item.adversary_budget == 0
+def _run(cells, max_workers: int):
+    sweep = SweepConfig(name="parallel", description="pooled execution")
+    for cell in cells:
+        sweep.add(cell)
+    return run_sweep(sweep, max_workers=max_workers)
 
 
 class TestExecuteWorkItems:
-    def test_empty_list(self):
-        assert execute_work_items([]) == []
-
     def test_serial_execution(self):
-        items = [_item("a", n=64), _item("b", n=32)]
-        out = execute_work_items(items, max_workers=0)
+        out = _run([_cell("a", n=64), _cell("b", n=32)], max_workers=0).cells
         assert len(out) == 2
-        assert out[0]["label"] == "a"
-        assert out[1]["label"] == "b"
-        assert out[0]["convergence_fraction"] == 1.0
-        assert out[0]["param_n"] == 64
+        assert out[0].config.name == "a"
+        assert out[1].config.name == "b"
+        assert out[0].convergence_fraction == 1.0
+        assert out[0].n == 64
 
     def test_adversarial_item(self):
-        item = _item("adv", n=128, workload="two-bins",
+        cell = _cell("adv", n=128, workload="two-bins",
                      workload_params={"n": 128, "minority": 64},
                      adversary="balancing", adversary_budget=2,
                      max_rounds=400)
-        out = execute_work_items([item], max_workers=0)
-        assert out[0]["adversary"] == "balancing"
-        assert out[0]["adversary_budget"] == 2
+        [out] = _run([cell], max_workers=0).cells
+        assert out.config.adversary == "balancing"
+        assert out.config.adversary_budget == 2
+        assert not out.extra.get("failed")
+        assert out.num_runs == 3
 
     def test_results_order_matches_items(self):
-        items = [_item(f"cell-{i}", n=32, seed=i) for i in range(4)]
-        out = execute_work_items(items, max_workers=0)
-        assert [o["label"] for o in out] == [f"cell-{i}" for i in range(4)]
+        cells = [_cell(f"cell-{i}", n=32, seed=i) for i in range(4)]
+        out = _run(cells, max_workers=0).cells
+        assert [c.config.name for c in out] == [f"cell-{i}" for i in range(4)]
 
     def test_parallel_path_produces_same_labels(self):
         # the pool may fall back to serial in sandboxes — either way the
         # results must be complete and ordered
-        items = [_item(f"p-{i}", n=32, seed=i) for i in range(3)]
-        out = execute_work_items(items, max_workers=2)
-        assert [o["label"] for o in out] == ["p-0", "p-1", "p-2"]
+        cells = [_cell(f"p-{i}", n=32, seed=i) for i in range(3)]
+        out = _run(cells, max_workers=2).cells
+        assert [c.config.name for c in out] == ["p-0", "p-1", "p-2"]
 
     def test_serial_and_parallel_agree(self):
-        items = [_item("same", n=48, seed=7)]
-        serial = execute_work_items(items, max_workers=0)[0]
-        pooled = execute_work_items(items, max_workers=2)[0]
-        assert serial["mean_rounds"] == pooled["mean_rounds"]
+        cells = [_cell("same", n=48, seed=7)]
+        serial = _run(cells, max_workers=0)
+        pooled = _run(cells, max_workers=2)
+        assert serial.cells[0].mean_rounds == pooled.cells[0].mean_rounds
+        assert serial.cells == pooled.cells
 
     def test_summaries_carry_per_run_rounds(self):
-        out = execute_work_items([_item("r", n=32)], max_workers=0)[0]
-        assert len(out["rounds"]) == out["num_runs"]
-        assert all(isinstance(r, float) for r in out["rounds"])
+        [out] = _run([_cell("r", n=32)], max_workers=0).cells
+        assert len(out.rounds) == out.num_runs
+        assert all(isinstance(r, float) for r in out.rounds)
 
     @pytest.mark.parametrize("max_workers", [0, 2])
     def test_raising_cell_becomes_error_summary(self, max_workers):
-        # a poisoned cell must yield {"label", "error"} in its slot instead
-        # of aborting the batch — identically on the serial and pooled paths
-        items = [_item("good", n=32),
-                 _item("bad", n=32, rule="no-such-rule"),
-                 _item("also-good", n=48)]
-        out = execute_work_items(items, max_workers=max_workers)
-        assert [o["label"] for o in out] == ["good", "bad", "also-good"]
-        assert "error" in out[1] and "no-such-rule" in out[1]["error"]
-        assert out[1]["error"].startswith("KeyError")
-        assert out[0]["convergence_fraction"] == 1.0
-
-    def test_iter_results_include_errors(self):
-        from repro.engine.parallel import iter_work_item_results
-
-        items = [_item("good", n=32), _item("bad", n=32, rule="boom")]
-        results = dict(iter_work_item_results(items, max_workers=2))
-        assert set(results) == {0, 1}
-        assert "error" in results[1] and "boom" in results[1]["error"]
-
-
-class TestRecommendedWorkers:
-    def test_at_least_one(self):
-        assert recommended_workers() >= 1
+        # a poisoned cell must yield a failure record in its slot instead
+        # of aborting the sweep — identically on the serial and pooled paths
+        cells = [_cell("good", n=32),
+                 _cell("bad", n=32, rule="no-such-rule"),
+                 _cell("also-good", n=48)]
+        report = _run(cells, max_workers=max_workers)
+        out = report.cells
+        assert [c.config.name for c in out] == ["good", "bad", "also-good"]
+        error = out[1].extra["error"]
+        assert out[1].extra["failed"] and "no-such-rule" in error
+        assert error.startswith("KeyError")
+        assert math.isinf(out[1].mean_rounds)
+        assert out[0].convergence_fraction == 1.0
+        assert [f["cell"] for f in report.meta["failures"]] == ["bad"]

@@ -48,3 +48,16 @@ def test_cli_and_sweep_need_only_numpy(tmp_path):
         "sys.exit(code)\n")
     assert proc.returncode == 0, proc.stderr
     assert "misses=6" in proc.stdout
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    # the pool backend imports ProcessPoolExecutor only when a pool runs
+    proc = run_fresh(
+        "import sys\n"
+        "import repro.cli\n"
+        "pool = sorted(m for m in sys.modules\n"
+        "              if m == 'concurrent.futures.process'\n"
+        "              or m.split('.')[0] == 'multiprocessing')\n"
+        "print(pool)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
